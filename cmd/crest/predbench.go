@@ -7,10 +7,10 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	crest "github.com/crestlab/crest"
+	"github.com/crestlab/crest/internal/capacity"
 )
 
 // predBenchReport is the schema of BENCH_predictors.json: tail latency and
@@ -18,12 +18,11 @@ import (
 // (ComputeDataset) on a synthetic buffer. scripts/bench.sh archives it and
 // CI runs a small smoke configuration to catch kernel regressions.
 type predBenchReport struct {
-	Edge    int    `json:"edge"`
-	K       int    `json:"k"`
-	Blocks  int    `json:"blocks"`
-	Iters   int    `json:"iters"`
-	Workers int    `json:"workers"`
-	DType   string `json:"dtype"`
+	Edge    int `json:"edge"`
+	K       int `json:"k"`
+	Blocks  int `json:"blocks"`
+	Iters   int `json:"iters"`
+	Workers int `json:"workers"`
 
 	P50Seconds  float64 `json:"p50_seconds"`
 	P90Seconds  float64 `json:"p90_seconds"`
@@ -43,7 +42,6 @@ func cmdPredBench(args []string) error {
 	iters := fs.Int("iters", 20, "timed iterations")
 	warmup := fs.Int("warmup", 2, "untimed warmup iterations (fill the scratch pools)")
 	workers := fs.Int("workers", 0, "predictor workers (0: GOMAXPROCS)")
-	dtype := fs.String("dtype", "f64", "element type of the benchmarked buffer: f64 or f32 (native single-precision kernels)")
 	out := fs.String("out", "BENCH_predictors.json", "write the JSON report to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -51,33 +49,15 @@ func cmdPredBench(args []string) error {
 	if *edge < *k || *iters < 1 {
 		return fmt.Errorf("need edge ≥ k and iters ≥ 1")
 	}
-	if *dtype != "f64" && *dtype != "f32" {
-		return fmt.Errorf("unknown -dtype %q (want f64 or f32)", *dtype)
-	}
 
 	buf, err := synthBuffer(*edge)
 	if err != nil {
 		return err
 	}
 	cfg := crest.PredictorConfig{K: *k, Workers: *workers}
-	var op func() error
-	if *dtype == "f32" {
-		buf32, err := crest.NewBuffer32(*edge, *edge)
-		if err != nil {
-			return err
-		}
-		for i, v := range buf.Data {
-			buf32.Data[i] = float32(v)
-		}
-		op = func() error {
-			_, err := crest.ComputeDatasetFeatures32(buf32, cfg)
-			return err
-		}
-	} else {
-		op = func() error {
-			_, err := crest.ComputeDatasetFeatures(buf, cfg)
-			return err
-		}
+	op := func() error {
+		_, err := crest.ComputeDatasetFeatures(buf, cfg)
+		return err
 	}
 	for i := 0; i < *warmup; i++ {
 		if err := op(); err != nil {
@@ -85,7 +65,7 @@ func cmdPredBench(args []string) error {
 		}
 	}
 
-	lat := make([]float64, *iters)
+	lat := make([]time.Duration, *iters)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -94,12 +74,11 @@ func cmdPredBench(args []string) error {
 		if err := op(); err != nil {
 			return err
 		}
-		lat[i] = time.Since(t0).Seconds()
+		lat[i] = time.Since(t0)
 	}
 	runtime.ReadMemStats(&after)
 
-	sort.Float64s(lat)
-	var sum float64
+	var sum time.Duration
 	for _, v := range lat {
 		sum += v
 	}
@@ -110,10 +89,9 @@ func cmdPredBench(args []string) error {
 		Blocks:      (*edge / *k) * (*edge / *k),
 		Iters:       *iters,
 		Workers:     *workers,
-		DType:       *dtype,
-		P50Seconds:  quantileSorted(lat, 0.50),
-		P90Seconds:  quantileSorted(lat, 0.90),
-		MeanSeconds: sum / float64(*iters),
+		P50Seconds:  capacity.Percentile(lat, 0.50).Seconds(),
+		P90Seconds:  capacity.Percentile(lat, 0.90).Seconds(),
+		MeanSeconds: sum.Seconds() / float64(*iters),
 		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / n,
 		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / n,
 	}
@@ -124,8 +102,8 @@ func cmdPredBench(args []string) error {
 	if err := os.WriteFile(*out, append(doc, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("predbench: %dx%d k=%d %s: p50 %.1fms p90 %.1fms, %d allocs/op %d B/op -> %s\n",
-		*edge, *edge, *k, *dtype, 1e3*rep.P50Seconds, 1e3*rep.P90Seconds,
+	fmt.Printf("predbench: %dx%d k=%d: p50 %.1fms p90 %.1fms, %d allocs/op %d B/op -> %s\n",
+		*edge, *edge, *k, 1e3*rep.P50Seconds, 1e3*rep.P90Seconds,
 		rep.AllocsPerOp, rep.BytesPerOp, *out)
 	return nil
 }
@@ -142,13 +120,4 @@ func synthBuffer(edge int) (*crest.Buffer, error) {
 		}
 	}
 	return crest.BufferFromSlice(edge, edge, data)
-}
-
-// quantileSorted returns the q-quantile of ascending xs (nearest-rank).
-func quantileSorted(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(xs)-1))
-	return xs[i]
 }

@@ -35,27 +35,6 @@ func BufferFromSlice(rows, cols int, data []float64) (*Buffer, error) {
 	return grid.FromSlice(rows, cols, data)
 }
 
-// Buffer32 is a single 2D float32 buffer — the native single-precision
-// twin of Buffer. Estimation over a Buffer32 runs the float32 kernel
-// pipeline end to end (no widening copy); see the float32 accuracy
-// contract in DESIGN.md.
-type Buffer32 = grid.Buffer32
-
-// NewBuffer32 allocates a zeroed rows×cols float32 buffer. Invalid
-// shapes are reported as an error wrapping ErrInvalidBuffer.
-func NewBuffer32(rows, cols int) (*Buffer32, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("%w: shape %dx%d", crerr.ErrInvalidBuffer, rows, cols)
-	}
-	return grid.NewBuffer32(rows, cols), nil
-}
-
-// BufferFromSlice32 wraps row-major float32 data in a Buffer32 without
-// copying.
-func BufferFromSlice32(rows, cols int, data []float32) (*Buffer32, error) {
-	return grid.FromSlice32(rows, cols, data)
-}
-
 // NewVolume allocates a zeroed nz×ny×nx volume. Invalid shapes are
 // reported as an error wrapping ErrInvalidBuffer instead of panicking.
 func NewVolume(nz, ny, nx int) (*Volume, error) {

@@ -66,30 +66,6 @@ func ComputeDistortion(buf *Buffer, eps float64, cfg PredictorConfig) (float64, 
 	return predictors.ComputeEB(buf, eps, cfg)
 }
 
-// ComputeFeatures32 is ComputeFeatures for a native float32 buffer: the
-// whole pipeline runs at float32 element width with float64 reductions,
-// skipping the widening copy. Results agree with the float64 path to a
-// few ULP of float32 (see DESIGN.md's float32 accuracy contract) and
-// are bit-identical to featurizing the same values from a dtype-f32
-// block stream.
-func ComputeFeatures32(buf *Buffer32, eps float64, cfg PredictorConfig) (Features, error) {
-	return predictors.Compute32(buf, eps, cfg)
-}
-
-// ComputeDatasetFeatures32 is ComputeDatasetFeatures for a native
-// float32 buffer.
-func ComputeDatasetFeatures32(buf *Buffer32, cfg PredictorConfig) (DatasetFeatures, error) {
-	return predictors.ComputeDataset32(buf, cfg)
-}
-
-// ComputeDistortion32 is ComputeDistortion for a native float32 buffer.
-// The distortion is bit-identical to ComputeDistortion over the exactly
-// widened values: the entropy estimators widen each element and bin in
-// float64.
-func ComputeDistortion32(buf *Buffer32, eps float64, cfg PredictorConfig) (float64, error) {
-	return predictors.ComputeEB32(buf, eps, cfg)
-}
-
 // EstimatorConfig tunes the full estimation pipeline: predictors, mixture
 // regression, conformal calibration, CR cap and the optional feature mask.
 type EstimatorConfig = core.Config

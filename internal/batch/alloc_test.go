@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/crestlab/crest/internal/featcache"
-	"github.com/crestlab/crest/internal/grid"
 	"github.com/crestlab/crest/internal/predictors"
 	"github.com/crestlab/crest/internal/testutil"
 )
@@ -12,7 +11,7 @@ import (
 // TestBatchSteadyStateZeroAlloc pins the zero-steady-state-allocation
 // contract of the saturated batch path: once the feature cache is warm,
 // the pooled per-request feature stage — cache lookup plus vector
-// assembly into a recycled buffer, for both precisions — performs no
+// assembly into a recycled buffer — performs no
 // allocation at all. This is the stage EstimateAllContext runs per
 // request; the model stage and the per-batch result slices are the only
 // remaining allocation sites, and both are O(batch), not O(request).
@@ -21,10 +20,6 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("sync.Pool drops items randomly under -race; alloc counts are nondeterministic")
 	}
 	buf := testBuffer(64, 64, 1)
-	buf32 := grid.NewBuffer32(64, 64)
-	for i, v := range buf.Data {
-		buf32.Data[i] = float32(v)
-	}
 	const eps = 1e-3
 	// SkipProfile keeps the dataset-predictor result slice-free, so a
 	// cache MISS on this config is also allocation-bounded; the steady
@@ -32,19 +27,10 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 	cfg := predictors.Config{Workers: 1, SkipProfile: true}
 	cache := featcache.New(cfg)
 
-	feats := make([]float64, 0, 8)
-	warm := func() {
-		var err error
-		feats, err = cache.FeaturesInto(feats[:0], buf, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feats, err = cache.Features32Into(feats[:0], buf32, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
+	feats, err := cache.FeaturesInto(make([]float64, 0, 8), buf, eps)
+	if err != nil {
+		t.Fatal(err)
 	}
-	warm()
 
 	allocs := testing.AllocsPerRun(100, func() {
 		var err error
@@ -57,32 +43,14 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm-cache f64 feature stage: %.1f allocs/op, want 0", allocs)
-	}
-
-	allocs = testing.AllocsPerRun(100, func() {
-		var err error
-		feats, err = cache.Features32Into(feats[:0], buf32, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(feats) != 5 {
-			t.Fatalf("feature vector length %d", len(feats))
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm-cache f32 feature stage: %.1f allocs/op, want 0", allocs)
+		t.Fatalf("warm-cache feature stage: %.1f allocs/op, want 0", allocs)
 	}
 }
 
 // TestFeaturesIntoMatchesFeatures pins that the zero-alloc variant
-// returns the exact bits of the allocating one, for both precisions.
+// returns the exact bits of the allocating one.
 func TestFeaturesIntoMatchesFeatures(t *testing.T) {
 	buf := testBuffer(48, 56, 2)
-	buf32 := grid.NewBuffer32(48, 56)
-	for i, v := range buf.Data {
-		buf32.Data[i] = float32(v)
-	}
 	cache := featcache.New(serialCfg)
 	const eps = 1e-2
 
@@ -103,76 +71,4 @@ func TestFeaturesIntoMatchesFeatures(t *testing.T) {
 		}
 	}
 
-	want32, err := cache.Features32(buf32, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got32, err := cache.Features32Into(nil, buf32, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want32 {
-		if want32[i] != got32[i] {
-			t.Errorf("f32 feature %d: %g vs %g", i, got32[i], want32[i])
-		}
-	}
-}
-
-// TestEngineFloat32Requests routes Buf32 requests through the engine
-// end to end and checks they agree with the direct float32 feature
-// path, mixed freely with float64 requests in one batch.
-func TestEngineFloat32Requests(t *testing.T) {
-	var bufs []*grid.Buffer
-	for s := int64(0); s < 4; s++ {
-		bufs = append(bufs, testBuffer(32, 32, s))
-	}
-	epses := []float64{1e-2, 1e-3}
-	est := trainedEstimator(t, bufs, epses)
-
-	narrow := make([]*grid.Buffer32, len(bufs))
-	for i, b := range bufs {
-		narrow[i] = grid.NewBuffer32(b.Rows, b.Cols)
-		narrow[i].Dataset, narrow[i].Field, narrow[i].Step = b.Dataset, b.Field, b.Step
-		for j, v := range b.Data {
-			narrow[i].Data[j] = float32(v)
-		}
-	}
-
-	var reqs []Request
-	for i := range bufs {
-		for _, eps := range epses {
-			reqs = append(reqs, Request{Buf: bufs[i], Eps: eps})
-			reqs = append(reqs, Request{Buf32: narrow[i], Eps: eps})
-		}
-	}
-	cache := featcache.New(serialCfg)
-	eng := New(est, cache, 4)
-	got, err := eng.EstimateAll(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Spot-check: the f32 request for the same values must produce an
-	// estimate close to (but not necessarily equal to) its f64 twin.
-	for i := 0; i+1 < len(reqs); i += 2 {
-		f64est, f32est := got[i], got[i+1]
-		if f32est.CR <= 0 {
-			t.Fatalf("request %d: empty f32 estimate", i+1)
-		}
-		rel := (f32est.CR - f64est.CR) / f64est.CR
-		if rel < -0.01 || rel > 0.01 {
-			t.Errorf("request %d: f32 CR %.6g vs f64 CR %.6g (drift %.3g)", i, f32est.CR, f64est.CR, rel)
-		}
-	}
-
-	// A request setting both buffers must fail typed, without touching
-	// its siblings.
-	bad := append([]Request{}, reqs...)
-	bad[0].Buf32 = narrow[0]
-	out, err := eng.EstimateAll(bad)
-	if err == nil {
-		t.Fatal("expected an aggregate error for a double-buffer request")
-	}
-	if out[1].CR <= 0 {
-		t.Error("sibling request failed alongside the invalid one")
-	}
 }

@@ -29,13 +29,11 @@ import (
 )
 
 // Request asks for one compression-ratio estimate: one buffer at one
-// absolute error bound. Exactly one of Buf and Buf32 must be set;
-// Buf32 routes the request through the native float32 predictor
-// pipeline (no widening copy) and the cache's float32 key space.
+// absolute error bound. Native float32 data enters the library only as
+// dtype-1 CRBS streams (predictors.ForEachSlice), not as batch requests.
 type Request struct {
-	Buf   *grid.Buffer
-	Buf32 *grid.Buffer32
-	Eps   float64
+	Buf *grid.Buffer
+	Eps float64
 }
 
 // featsPool recycles the per-request feature vectors across workers and
@@ -175,16 +173,7 @@ func (e *Engine) EstimateAllContext(ctx context.Context, reqs []Request) ([]core
 		fp := featsPool.Get().(*[]float64)
 		defer featsPool.Put(fp)
 		t0 := time.Now()
-		var feats []float64
-		var err error
-		switch {
-		case reqs[i].Buf != nil && reqs[i].Buf32 != nil:
-			err = fmt.Errorf("%w: request sets both Buf and Buf32", crerr.ErrInvalidBuffer)
-		case reqs[i].Buf32 != nil:
-			feats, err = e.cache.Features32Into((*fp)[:0], reqs[i].Buf32, reqs[i].Eps)
-		default:
-			feats, err = e.cache.FeaturesInto((*fp)[:0], reqs[i].Buf, reqs[i].Eps)
-		}
+		feats, err := e.cache.FeaturesInto((*fp)[:0], reqs[i].Buf, reqs[i].Eps)
 		if cap(feats) > cap(*fp) {
 			*fp = feats
 		}
@@ -220,22 +209,16 @@ func (e *Engine) EstimateAllContext(ctx context.Context, reqs []Request) ([]core
 	for i, err := range errs {
 		if err != nil {
 			nFailed++
-			var dataset, field string
-			var step int
-			switch {
-			case reqs[i].Buf != nil:
-				dataset, field, step = reqs[i].Buf.Dataset, reqs[i].Buf.Field, reqs[i].Buf.Step
-			case reqs[i].Buf32 != nil:
-				dataset, field, step = reqs[i].Buf32.Dataset, reqs[i].Buf32.Field, reqs[i].Buf32.Step
-			default:
+			b := reqs[i].Buf
+			if b == nil {
 				continue
 			}
 			if rid != "" {
 				errs[i] = fmt.Errorf("batch: rid %s: %s/%s step %d @ eps %g: %w",
-					rid, dataset, field, step, reqs[i].Eps, err)
+					rid, b.Dataset, b.Field, b.Step, reqs[i].Eps, err)
 			} else {
 				errs[i] = fmt.Errorf("batch: %s/%s step %d @ eps %g: %w",
-					dataset, field, step, reqs[i].Eps, err)
+					b.Dataset, b.Field, b.Step, reqs[i].Eps, err)
 			}
 		}
 	}

@@ -50,13 +50,6 @@ type DatasetFunc func(*grid.Buffer, predictors.Config) (predictors.DatasetFeatur
 // predictors.ComputeEB.
 type EBFunc func(*grid.Buffer, float64, predictors.Config) (float64, error)
 
-// Dataset32Func and EB32Func are the native-float32 siblings; the
-// defaults are predictors.ComputeDataset32 and predictors.ComputeEB32.
-type Dataset32Func func(*grid.Buffer32, predictors.Config) (predictors.DatasetFeatures, error)
-
-// EB32Func computes the float32 error-bound-specific distortion.
-type EB32Func func(*grid.Buffer32, float64, predictors.Config) (float64, error)
-
 // Cache is a sharded, mutex-protected, singleflight feature cache. The
 // zero value is not usable; construct with New.
 //
@@ -69,12 +62,10 @@ type EB32Func func(*grid.Buffer32, float64, predictors.Config) (float64, error)
 // malformed buffer can never wedge a singleflight slot or kill the
 // process.
 type Cache struct {
-	cfg           predictors.Config
-	computeDset   DatasetFunc
-	computeEB     EBFunc
-	computeDset32 Dataset32Func
-	computeEB32   EB32Func
-	shards        [NumShards]shard
+	cfg         predictors.Config
+	computeDset DatasetFunc
+	computeEB   EBFunc
+	shards      [NumShards]shard
 
 	// Counters are updated with atomics so Stats never takes shard locks.
 	dsetHits, dsetMisses uint64
@@ -107,20 +98,13 @@ func newObsCounters(r *obs.Registry) obsCounters {
 }
 
 type shard struct {
-	mu     sync.Mutex
-	dset   map[*grid.Buffer]*dsetEntry
-	eb     map[ebKey]*ebEntry
-	dset32 map[*grid.Buffer32]*dsetEntry
-	eb32   map[eb32Key]*ebEntry
+	mu   sync.Mutex
+	dset map[*grid.Buffer]*dsetEntry
+	eb   map[ebKey]*ebEntry
 }
 
 type ebKey struct {
 	buf  *grid.Buffer
-	bits uint64
-}
-
-type eb32Key struct {
-	buf  *grid.Buffer32
 	bits uint64
 }
 
@@ -154,28 +138,12 @@ func NewWithCompute(cfg predictors.Config, dset DatasetFunc, eb EBFunc) *Cache {
 		eb = predictors.ComputeEB
 	}
 	c := &Cache{cfg: cfg, computeDset: dset, computeEB: eb,
-		computeDset32: predictors.ComputeDataset32,
-		computeEB32:   predictors.ComputeEB32,
-		reg:           newObsCounters(obs.Default())}
+		reg: newObsCounters(obs.Default())}
 	for i := range c.shards {
 		c.shards[i].dset = make(map[*grid.Buffer]*dsetEntry)
 		c.shards[i].eb = make(map[ebKey]*ebEntry)
-		c.shards[i].dset32 = make(map[*grid.Buffer32]*dsetEntry)
-		c.shards[i].eb32 = make(map[eb32Key]*ebEntry)
 	}
 	return c
-}
-
-// SetCompute32 replaces the float32 compute functions (nil keeps the
-// predictors defaults). Like NewWithCompute it exists for fault
-// injection and tests; call before the cache is shared.
-func (c *Cache) SetCompute32(dset Dataset32Func, eb EB32Func) {
-	if dset != nil {
-		c.computeDset32 = dset
-	}
-	if eb != nil {
-		c.computeEB32 = eb
-	}
 }
 
 // SetObs re-points the cache's registry mirror at r (nil selects the
@@ -225,10 +193,6 @@ func EBBits(eps float64) uint64 {
 }
 
 func bufBits(buf *grid.Buffer) uint64 {
-	return uint64(uintptr(unsafe.Pointer(buf)))
-}
-
-func bufBits32(buf *grid.Buffer32) uint64 {
 	return uint64(uintptr(unsafe.Pointer(buf)))
 }
 
@@ -366,125 +330,6 @@ func (c *Cache) FeaturesInto(dst []float64, buf *grid.Buffer, eps float64) ([]fl
 	return append(dst, df.SD, df.SC, df.CodingGain, df.CovSVDTrunc, d), nil
 }
 
-// Features32Into is FeaturesInto for a native float32 buffer.
-func (c *Cache) Features32Into(dst []float64, buf *grid.Buffer32, eps float64) ([]float64, error) {
-	df, err := c.Dataset32(buf)
-	if err != nil {
-		return dst, err
-	}
-	d, err := c.Distortion32(buf, eps)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, df.SD, df.SC, df.CodingGain, df.CovSVDTrunc, d), nil
-}
-
-// Dataset32 is Dataset for a native float32 buffer, with identical
-// singleflight and failure semantics. float32 and float64 buffers are
-// distinct key spaces — the same values held at different precisions
-// legitimately yield (ULP-level) different features.
-func (c *Cache) Dataset32(buf *grid.Buffer32) (predictors.DatasetFeatures, error) {
-	s := &c.shards[ShardIndex(bufBits32(buf), 0)]
-	s.mu.Lock()
-	e, ok := s.dset32[buf]
-	if ok {
-		s.mu.Unlock()
-		atomic.AddUint64(&c.dsetHits, 1)
-		c.reg.dsetHits.Inc()
-		select {
-		case <-e.done:
-		default:
-			atomic.AddUint64(&c.dedupWaits, 1)
-			c.reg.dedupWaits.Inc()
-			<-e.done
-		}
-		return e.df, e.err
-	}
-	e = &dsetEntry{done: make(chan struct{})}
-	s.dset32[buf] = e
-	s.mu.Unlock()
-	atomic.AddUint64(&c.dsetMisses, 1)
-	c.reg.dsetMisses.Inc()
-	func() {
-		defer func() {
-			if v := recover(); v != nil {
-				e.err = crerr.Recovered(v, crerr.ErrInvalidBuffer)
-			}
-		}()
-		e.df, e.err = c.computeDset32(buf, c.cfg)
-	}()
-	if e.err != nil {
-		atomic.AddUint64(&c.failures, 1)
-		c.reg.failures.Inc()
-		s.mu.Lock()
-		if s.dset32[buf] == e {
-			delete(s.dset32, buf)
-		}
-		s.mu.Unlock()
-	}
-	close(e.done)
-	return e.df, e.err
-}
-
-// Distortion32 is Distortion for a native float32 buffer.
-func (c *Cache) Distortion32(buf *grid.Buffer32, eps float64) (float64, error) {
-	bits := EBBits(eps)
-	k := eb32Key{buf, bits}
-	s := &c.shards[ShardIndex(bufBits32(buf), bits)]
-	s.mu.Lock()
-	e, ok := s.eb32[k]
-	if ok {
-		s.mu.Unlock()
-		atomic.AddUint64(&c.ebHits, 1)
-		c.reg.ebHits.Inc()
-		select {
-		case <-e.done:
-		default:
-			atomic.AddUint64(&c.dedupWaits, 1)
-			c.reg.dedupWaits.Inc()
-			<-e.done
-		}
-		return e.d, e.err
-	}
-	e = &ebEntry{done: make(chan struct{})}
-	s.eb32[k] = e
-	s.mu.Unlock()
-	atomic.AddUint64(&c.ebMisses, 1)
-	c.reg.ebMisses.Inc()
-	func() {
-		defer func() {
-			if v := recover(); v != nil {
-				e.err = crerr.Recovered(v, crerr.ErrInvalidBuffer)
-			}
-		}()
-		e.d, e.err = c.computeEB32(buf, eps, c.cfg)
-	}()
-	if e.err != nil {
-		atomic.AddUint64(&c.failures, 1)
-		c.reg.failures.Inc()
-		s.mu.Lock()
-		if s.eb32[k] == e {
-			delete(s.eb32, k)
-		}
-		s.mu.Unlock()
-	}
-	close(e.done)
-	return e.d, e.err
-}
-
-// Features32 is Features for a native float32 buffer.
-func (c *Cache) Features32(buf *grid.Buffer32, eps float64) ([]float64, error) {
-	df, err := c.Dataset32(buf)
-	if err != nil {
-		return nil, err
-	}
-	d, err := c.Distortion32(buf, eps)
-	if err != nil {
-		return nil, err
-	}
-	return predictors.Combine(df, d).Vector(), nil
-}
-
 // Warm fills the cache for every buffer × bound pair across a bounded
 // worker pool. It is the pre-pass that lets training-data collection and
 // k-fold evaluation scale with cores instead of faulting features in one
@@ -592,20 +437,6 @@ func (c *Cache) Pending() int {
 				n++
 			}
 		}
-		for _, e := range s.dset32 {
-			select {
-			case <-e.done:
-			default:
-				n++
-			}
-		}
-		for _, e := range s.eb32 {
-			select {
-			case <-e.done:
-			default:
-				n++
-			}
-		}
 		s.mu.Unlock()
 	}
 	return n
@@ -618,7 +449,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.dset) + len(s.eb) + len(s.dset32) + len(s.eb32)
+		n += len(s.dset) + len(s.eb)
 		s.mu.Unlock()
 	}
 	return n

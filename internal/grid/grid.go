@@ -360,25 +360,11 @@ func (t *Blocking) Vec(b int, dst []float64) []float64 {
 // VecAll vectorizes every block, returning a B×k² row-major matrix backed
 // by one allocation.
 func (t *Blocking) VecAll() [][]float64 {
-	return t.VecAllInto(nil, nil)
-}
-
-// VecAllInto is VecAll with caller-provided storage: rows (the B slice
-// headers) and backing (the B·k² element array) are reused when their
-// capacity suffices and reallocated otherwise, so pooled callers
-// vectorize without allocating per call. Either argument may be nil.
-func (t *Blocking) VecAllInto(rows [][]float64, backing []float64) [][]float64 {
 	b := t.NumBlocks()
 	k2 := t.K * t.K
-	if cap(backing) < b*k2 {
-		backing = make([]float64, b*k2)
-	}
-	backing = backing[:b*k2]
-	if cap(rows) < b {
-		rows = make([][]float64, b)
-	}
-	rows = rows[:b]
-	for i := 0; i < b; i++ {
+	backing := make([]float64, b*k2)
+	rows := make([][]float64, b)
+	for i := range rows {
 		rows[i] = backing[i*k2 : (i+1)*k2]
 		t.Vec(i, rows[i])
 	}

@@ -242,49 +242,6 @@ func TestVecAllMatchesVec(t *testing.T) {
 	}
 }
 
-// TestVecAllIntoReusesStorage: capacity-sufficient rows/backing must be
-// reused in place (no allocation), undersized ones reallocated, and the
-// vectorized contents must match VecAll either way.
-func TestVecAllIntoReusesStorage(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	b := NewBuffer(24, 16)
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	tl, err := NewBlocking(b, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tl.VecAll()
-	nb := tl.NumBlocks()
-	k2 := 64
-	rows := make([][]float64, 0, nb+3)
-	backing := make([]float64, 0, nb*k2+17)
-	got := tl.VecAllInto(rows, backing)
-	if &got[0][0] != &backing[:1][0] {
-		t.Error("VecAllInto did not reuse backing storage")
-	}
-	if len(got) != nb {
-		t.Fatalf("VecAllInto returned %d rows, want %d", len(got), nb)
-	}
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("VecAllInto block %d differs at %d", i, j)
-			}
-		}
-	}
-	// Undersized storage grows transparently.
-	got2 := tl.VecAllInto(make([][]float64, 1), make([]float64, 3))
-	for i := range want {
-		for j := range want[i] {
-			if got2[i][j] != want[i][j] {
-				t.Fatalf("grown VecAllInto block %d differs at %d", i, j)
-			}
-		}
-	}
-}
-
 // TestBlockingPartition checks by property that every grid cell inside the
 // cropped region appears in exactly one block vector.
 func TestBlockingPartition(t *testing.T) {

@@ -27,11 +27,12 @@
 // slices = 0 must end exactly on a slice boundary; a stream that ends
 // mid-chunk or mid-slice fails with a typed crerr.ErrStreamCorrupt.
 //
-// float32 payloads are widened to float64 on read. The widening is exact
-// (every float32 is representable as a float64), so downstream feature
-// computation on a float32 stream is bit-identical to the in-memory path
-// over the widened values; the only precision loss is the encoder's
-// narrowing, bounded by ½ ULP of float32 (2⁻²⁴ relative).
+// float32 payloads are read either widened to float64 (ReadRow; exact,
+// since every float32 is representable as a float64) or natively
+// (ReadRow32), which is how the predictor core featurizes dtype-1
+// streams at float32 width. A dtype-1 stream is the one way native
+// float32 data enters the library; the only precision loss on the way is
+// the encoder's narrowing, bounded by ½ ULP of float32 (2⁻²⁴ relative).
 package grid
 
 import (
@@ -241,7 +242,7 @@ func (cr *ChunkReader) ReadRow(dst []float64) error {
 
 // ReadRow32 is ReadRow for float32 streams without the widening step:
 // dtype-1 payload bits land in dst unchanged, which keeps the
-// end-to-end float32 pipeline (featurizer, batch, server ingest) at
+// end-to-end float32 pipeline (server ingest, featurizer core) at
 // half the memory traffic. It refuses float64 streams — narrowing is a
 // lossy decision the caller must make explicitly.
 func (cr *ChunkReader) ReadRow32(dst []float32) error {

@@ -281,9 +281,8 @@ func MirrorLowerUpper[F Float](m []F, n int) {
 // SecondMomentLower accumulates the lower triangle (row-major, diagonal
 // included) of Σ_i scale·v[i]·v[i]ᵀ into out, which must have length
 // k·(k+1)/2 for row length k and is overwritten. The accumulation order
-// is exactly the serial loop the mutex-guarded VecAccumulator ran under
-// workers=1 — i ascending, each term formed as (v[i][p]·scale)·v[i][q] —
-// so the result is bit-identical to that path and independent of caller
+// is one serial loop — i ascending, each term formed as
+// (v[i][p]·scale)·v[i][q] — so the result is independent of caller
 // parallelism. FusedBlockMoments performs the same accumulation (same
 // order, same float64 arithmetic) inside the standardization pass; this
 // standalone routine remains as the reference the fused pass is tested

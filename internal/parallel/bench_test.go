@@ -1,9 +1,41 @@
 package parallel
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// casFloat64 is a float64 accumulator safe for concurrent add via a CAS
+// loop — the "atomic instructions to handle the sums shared between
+// threads" strategy of §IV-C, kept here as the ablation's subject.
+type casFloat64 struct{ bits uint64 }
+
+func (a *casFloat64) add(v float64) {
+	for {
+		old := atomic.LoadUint64(&a.bits)
+		nw := math.Float64bits(math.Float64frombits(old) + v)
+		if atomic.CompareAndSwapUint64(&a.bits, old, nw) {
+			return
+		}
+	}
+}
+
+// mutexVec accumulates whole vectors under one mutex, the strategy the
+// paper found cheaper than per-element atomics for vector sums.
+type mutexVec struct {
+	mu  sync.Mutex
+	sum []float64
+}
+
+func (a *mutexVec) add(v []float64) {
+	a.mu.Lock()
+	for i, x := range v {
+		a.sum[i] += x
+	}
+	a.mu.Unlock()
+}
 
 // BenchmarkAblationAtomics reproduces the paper's §IV-C profiling
 // decision: scalar sums shared between threads use CAS atomics, but the
@@ -17,10 +49,10 @@ func BenchmarkAblationAtomics(b *testing.B) {
 	}
 
 	b.Run("scalar-atomic", func(b *testing.B) {
-		var acc Float64
+		var acc casFloat64
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				acc.Add(1.5)
+				acc.add(1.5)
 			}
 		})
 	})
@@ -37,20 +69,20 @@ func BenchmarkAblationAtomics(b *testing.B) {
 		_ = sum
 	})
 	b.Run("vector-atomic-elementwise", func(b *testing.B) {
-		accs := make([]Float64, vecLen)
+		accs := make([]casFloat64, vecLen)
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				for i, v := range vec {
-					accs[i].Add(v)
+					accs[i].add(v)
 				}
 			}
 		})
 	})
 	b.Run("vector-single-mutex", func(b *testing.B) {
-		acc := NewVecAccumulator(vecLen)
+		acc := &mutexVec{sum: make([]float64, vecLen)}
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				acc.Add(vec)
+				acc.add(vec)
 			}
 		})
 	})

@@ -1,8 +1,6 @@
 package parallel
 
 import (
-	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -43,130 +41,5 @@ func TestForEachZeroAndNegative(t *testing.T) {
 		if called != 0 {
 			t.Errorf("n=%d: fn called %d times", n, called)
 		}
-	}
-}
-
-// TestFloat64ContentionAgainstMutexOracle hammers the CAS accumulator
-// from many goroutines and compares against a mutex-guarded oracle fed
-// the same values. All addends are integer-valued, so every partial sum
-// is exactly representable and the two totals must agree bit-for-bit
-// regardless of accumulation order.
-func TestFloat64ContentionAgainstMutexOracle(t *testing.T) {
-	const goroutines = 8
-	const perG = 2000
-	var cas Float64
-	var mu sync.Mutex
-	oracle := 0.0
-
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			local := 0.0
-			for i := 0; i < perG; i++ {
-				v := float64(rng.Intn(2001) - 1000) // integer-valued, mixed sign
-				cas.Add(v)
-				local += v
-			}
-			mu.Lock()
-			oracle += local
-			mu.Unlock()
-		}(g)
-	}
-	wg.Wait()
-	if got := cas.Load(); got != oracle {
-		t.Errorf("CAS accumulator %g != mutex oracle %g", got, oracle)
-	}
-}
-
-// TestVecAccumulatorAddOuterLowerSymmetry accumulates scaled outer
-// products concurrently and checks (a) the total matches a serial oracle
-// exactly (dyadic inputs keep every product and sum exact), and (b) the
-// reconstructed full matrix is symmetric with the diagonal matching
-// Σ scale·x_i².
-func TestVecAccumulatorAddOuterLowerSymmetry(t *testing.T) {
-	const n = 7
-	const vectors = 64
-	const scale = 0.25 // dyadic: products stay exactly representable
-
-	rng := rand.New(rand.NewSource(11))
-	xs := make([][]float64, vectors)
-	for v := range xs {
-		xs[v] = make([]float64, n)
-		for i := range xs[v] {
-			xs[v][i] = float64(rng.Intn(17) - 8)
-		}
-	}
-
-	// Serial oracle over the full n×n outer-product sum.
-	full := make([]float64, n*n)
-	for _, x := range xs {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				full[i*n+j] += scale * x[i] * x[j]
-			}
-		}
-	}
-
-	acc := NewVecAccumulator(n * (n + 1) / 2)
-	ForEachDynamic(vectors, 8, func(v int) {
-		acc.AddOuterLower(xs[v], scale)
-	})
-	lower := acc.Sum()
-
-	idx := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			if lower[idx] != full[i*n+j] {
-				t.Errorf("entry (%d,%d): accumulated %g != oracle %g", i, j, lower[idx], full[i*n+j])
-			}
-			if full[i*n+j] != full[j*n+i] {
-				t.Errorf("oracle asymmetric at (%d,%d)", i, j)
-			}
-			idx++
-		}
-	}
-	if idx != len(lower) {
-		t.Fatalf("consumed %d entries of %d", idx, len(lower))
-	}
-}
-
-// TestVecAccumulatorConcurrentAdd: plain vector adds from many goroutines
-// must sum exactly (integer inputs) and Sum must return a copy.
-func TestVecAccumulatorConcurrentAdd(t *testing.T) {
-	const n = 16
-	const goroutines = 8
-	const perG = 200
-	acc := NewVecAccumulator(n)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			v := make([]float64, n)
-			for i := range v {
-				v[i] = float64(g + i)
-			}
-			for it := 0; it < perG; it++ {
-				acc.Add(v)
-			}
-		}(g)
-	}
-	wg.Wait()
-	sum := acc.Sum()
-	for i := range sum {
-		want := 0.0
-		for g := 0; g < goroutines; g++ {
-			want += float64(perG) * float64(g+i)
-		}
-		if sum[i] != want {
-			t.Errorf("sum[%d] = %g, want %g", i, sum[i], want)
-		}
-	}
-	sum[0] = -1
-	if acc.Sum()[0] == -1 {
-		t.Error("Sum returned the internal slice, not a copy")
 	}
 }

@@ -1,13 +1,14 @@
 // Package parallel provides the execution substrate the paper implements
-// with multi-threaded CPU + GPU offload (§IV-C): a bounded worker pool,
-// lock-free float accumulation via compare-and-swap atomics, and a single
-// shared-mutex vector accumulator for the one case the paper found a mutex
-// cheaper than a sequence of atomic adds.
+// with multi-threaded CPU + GPU offload (§IV-C): a bounded worker pool with
+// static and dynamic scheduling, and a deterministic ordered reduction.
+// The paper's shared-sum strategies (compare-and-swap atomics for scalars,
+// one mutex for whole vectors) survive only as the ablation benchmark in
+// bench_test.go: their accumulation order follows goroutine scheduling,
+// so the bit-reproducible hot paths use SumOrdered instead.
 package parallel
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -124,8 +125,7 @@ func ForEachDynamicCtx(ctx context.Context, n, workers int, fn func(i int)) erro
 // by exactly one worker) and then folded left to right in index order. The
 // result is therefore bit-identical to the workers=1 serial sum for every
 // worker count — floating-point reduction order never depends on goroutine
-// scheduling. This is the reduction hot paths must use instead of Float64,
-// whose CAS accumulation order follows the scheduler.
+// scheduling, unlike a compare-and-swap accumulator's.
 func SumOrdered(n, workers int, term func(i int) float64) float64 {
 	if n <= 0 {
 		return 0
@@ -145,88 +145,4 @@ func SumOrderedInto(scratch []float64, workers int, term func(i int) float64) fl
 		sum += v
 	}
 	return sum
-}
-
-// Float64 is a float64 accumulator safe for concurrent Add via a CAS loop,
-// the "atomic instructions to handle the sums shared between threads"
-// strategy of §IV-C.
-//
-// Determinism caveat: the accumulation order follows goroutine scheduling,
-// so repeated runs can differ in low-order bits. Paths that promise
-// bit-for-bit reproducibility (the predictor kernels, the evaluation
-// protocol) must use SumOrdered instead; Float64 remains for throughput
-// counters and other statistics where the last ulp is immaterial.
-type Float64 struct {
-	bits uint64
-}
-
-// Add atomically accumulates v.
-func (a *Float64) Add(v float64) {
-	for {
-		old := atomic.LoadUint64(&a.bits)
-		cur := math.Float64frombits(old)
-		nw := math.Float64bits(cur + v)
-		if atomic.CompareAndSwapUint64(&a.bits, old, nw) {
-			return
-		}
-	}
-}
-
-// Load returns the current value.
-func (a *Float64) Load() float64 {
-	return math.Float64frombits(atomic.LoadUint64(&a.bits))
-}
-
-// Store sets the value (not atomic with respect to concurrent Add).
-func (a *Float64) Store(v float64) {
-	atomic.StoreUint64(&a.bits, math.Float64bits(v))
-}
-
-// VecAccumulator accumulates whole vectors under a single mutex. The paper
-// found through profiling that for the per-block array addition in the
-// CovSVD-trunc computation a single mutex beats a sequence of per-element
-// atomic adds; this type reproduces that design point (§IV-C).
-type VecAccumulator struct {
-	mu  sync.Mutex
-	sum []float64
-}
-
-// NewVecAccumulator returns an accumulator over vectors of length n.
-func NewVecAccumulator(n int) *VecAccumulator {
-	return &VecAccumulator{sum: make([]float64, n)}
-}
-
-// Add accumulates v element-wise under the mutex.
-func (a *VecAccumulator) Add(v []float64) {
-	a.mu.Lock()
-	for i, x := range v {
-		a.sum[i] += x
-	}
-	a.mu.Unlock()
-}
-
-// AddOuterLower accumulates the lower triangle (and diagonal) of scale·x xᵀ
-// flattened row-major into the accumulator, used when forming symmetric
-// covariance matrices concurrently. The accumulator length must be
-// n*(n+1)/2 for len(x) == n.
-func (a *VecAccumulator) AddOuterLower(x []float64, scale float64) {
-	a.mu.Lock()
-	idx := 0
-	for i := range x {
-		xi := x[i] * scale
-		for j := 0; j <= i; j++ {
-			a.sum[idx] += xi * x[j]
-			idx++
-		}
-	}
-	a.mu.Unlock()
-}
-
-// Sum returns a copy of the accumulated vector.
-func (a *VecAccumulator) Sum() []float64 {
-	a.mu.Lock()
-	out := make([]float64, len(a.sum))
-	copy(out, a.sum)
-	a.mu.Unlock()
-	return out
 }

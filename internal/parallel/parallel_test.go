@@ -1,12 +1,9 @@
 package parallel
 
 import (
-	"math"
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestWorkers(t *testing.T) {
@@ -53,84 +50,6 @@ func TestForEachDynamicCoversEveryIndexOnce(t *testing.T) {
 		}
 	}
 	ForEachDynamic(0, 4, func(i int) { t.Fatal("called for n=0") })
-}
-
-func TestFloat64ConcurrentSum(t *testing.T) {
-	var acc Float64
-	n := 10000
-	ForEach(n, 8, func(i int) {
-		acc.Add(0.5)
-	})
-	if got := acc.Load(); math.Abs(got-float64(n)/2) > 1e-9 {
-		t.Errorf("sum = %g, want %g", got, float64(n)/2)
-	}
-	acc.Store(3.5)
-	if acc.Load() != 3.5 {
-		t.Error("Store/Load failed")
-	}
-}
-
-// TestFloat64SumMatchesSerial: concurrent accumulation of arbitrary values
-// matches the serial sum to floating-point reordering tolerance.
-func TestFloat64SumMatchesSerial(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		vals := make([]float64, 500)
-		var serial float64
-		for i := range vals {
-			vals[i] = rng.NormFloat64()
-			serial += vals[i]
-		}
-		var acc Float64
-		ForEachDynamic(len(vals), 8, func(i int) { acc.Add(vals[i]) })
-		return math.Abs(acc.Load()-serial) < 1e-9*(1+math.Abs(serial))*100
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestVecAccumulator(t *testing.T) {
-	acc := NewVecAccumulator(3)
-	ForEach(100, 8, func(i int) {
-		acc.Add([]float64{1, 2, 3})
-	})
-	sum := acc.Sum()
-	want := []float64{100, 200, 300}
-	for i := range want {
-		if math.Abs(sum[i]-want[i]) > 1e-9 {
-			t.Fatalf("sum = %v", sum)
-		}
-	}
-	// Sum returns a copy.
-	sum[0] = -1
-	if acc.Sum()[0] == -1 {
-		t.Error("Sum aliases internal state")
-	}
-}
-
-func TestVecAccumulatorAddOuterLower(t *testing.T) {
-	// Accumulate x·xᵀ lower triangle for two vectors; compare to direct.
-	n := 4
-	acc := NewVecAccumulator(n * (n + 1) / 2)
-	xs := [][]float64{{1, 2, 3, 4}, {0.5, -1, 2, 0}}
-	for _, x := range xs {
-		acc.AddOuterLower(x, 2)
-	}
-	got := acc.Sum()
-	idx := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			var want float64
-			for _, x := range xs {
-				want += 2 * x[i] * x[j]
-			}
-			if math.Abs(got[idx]-want) > 1e-12 {
-				t.Fatalf("entry (%d,%d) = %g, want %g", i, j, got[idx], want)
-			}
-			idx++
-		}
-	}
 }
 
 func TestForEachStripesAreContiguous(t *testing.T) {

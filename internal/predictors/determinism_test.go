@@ -86,15 +86,20 @@ func TestStreamingPathMatchesFullGram(t *testing.T) {
 	b := tl.NumBlocks()
 	k2 := 64
 	gm, gsd := stats.MeanStd(buf.Data)
+	vecs := tl.VecAll()
 
 	full := getScratch[float64](b, k2)
-	full.vecs = tl.VecAllInto(full.vecs, full.backing)
+	for i, v := range vecs {
+		copy(full.vecs[i], v)
+	}
 	fillBlockStats(full, gm, gsd, b, tl.Bc)
 	full.fk2, full.invK2 = float64(k2), 1/float64(k2)
 	full.pairwisePass(b, 4) // b²·8 ≪ budget → full-Gram path
 
 	stream := getScratch[float64](b, k2)
-	stream.vecs = tl.VecAllInto(stream.vecs, stream.backing)
+	for i, v := range vecs {
+		copy(stream.vecs[i], v)
+	}
 	fillBlockStats(stream, gm, gsd, b, tl.Bc)
 	stream.fk2, stream.invK2 = float64(k2), 1/float64(k2)
 	nPanels := (b + streamPanelRows - 1) / streamPanelRows

@@ -1,7 +1,6 @@
 package predictors
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -127,57 +126,36 @@ func itoa(n int) string {
 
 // TestFloat32DeterminismAcrossChunksAndWorkers pins the float32 twin of
 // the float64 determinism contract: every chunk size and worker count
-// must produce the SAME bits, equal to the in-memory float32 entry
-// point. (float32 vs float64 is ULP-bounded; float32 vs itself is
-// exact.)
+// must produce the SAME bits as the workers=1 whole-chunk stream, and so
+// must the float32 core fed the narrowed slice in memory. (float32 vs
+// float64 is ULP-bounded; float32 vs itself is exact.)
 func TestFloat32DeterminismAcrossChunksAndWorkers(t *testing.T) {
 	buf := mixedMagnitudeBuffer(90, 101, 77)
-	narrow := grid.NewBuffer32(buf.Rows, buf.Cols)
-	for i, v := range buf.Data {
-		narrow.Data[i] = float32(v)
-	}
 	const eps = 1e-3
-	base, err := Compute32(narrow, eps, Config{K: 8, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	base := streamOnce(t, encodeStream(t, buf, grid.DTypeF32, buf.Rows), eps, Config{K: 8, Workers: 1})
+	narrow := make([]float32, len(buf.Data))
+	for i, v := range buf.Data {
+		narrow[i] = float32(v)
 	}
 	for _, workers := range []int{1, 8} {
 		cfg := Config{K: 8, Workers: workers}
-		inMem, err := Compute32(narrow, eps, cfg)
+		inMem, dist, err := featurize(buf.Rows, buf.Cols, narrow, []float64{eps}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkBitIdentical(t, base.DatasetFeatures, inMem.DatasetFeatures, workers, -1)
+		checkBitIdentical(t, base.Dataset, inMem, workers, -1)
+		if math.Float64bits(dist[0]) != math.Float64bits(base.Distortions[0]) {
+			t.Errorf("workers=%d in memory: f32 distortion not bit-stable: %.17g vs %.17g",
+				workers, dist[0], base.Distortions[0])
+		}
 		for _, chunkRows := range []int{1, 7, 32, buf.Rows} {
 			raw := encodeStream(t, buf, grid.DTypeF32, chunkRows)
 			got := streamOnce(t, raw, eps, cfg)
-			checkBitIdentical(t, base.DatasetFeatures, got.Dataset, workers, chunkRows)
-			if math.Float64bits(got.Distortions[0]) != math.Float64bits(base.Distortion) {
+			checkBitIdentical(t, base.Dataset, got.Dataset, workers, chunkRows)
+			if math.Float64bits(got.Distortions[0]) != math.Float64bits(base.Distortions[0]) {
 				t.Errorf("workers=%d chunk=%d: f32 distortion not bit-stable: %.17g vs %.17g",
-					workers, chunkRows, got.Distortions[0], base.Distortion)
+					workers, chunkRows, got.Distortions[0], base.Distortions[0])
 			}
 		}
 	}
-}
-
-// TestFloat32StreamRoundTripMatchesInMemory feeds a float32 buffer
-// through an encode→stream cycle and through Compute32 directly; both
-// must agree bitwise (the stream stores the exact float32 payload).
-func TestFloat32StreamRoundTripMatchesInMemory(t *testing.T) {
-	narrow := grid.NewBuffer32(64, 72)
-	buf := mixedMagnitudeBuffer(64, 72, 5)
-	for i, v := range buf.Data {
-		narrow.Data[i] = float32(v)
-	}
-	var enc bytes.Buffer
-	if err := grid.EncodeBuffer(&enc, narrow.Widen(), grid.DTypeF32, 9); err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{K: 8, Workers: 4}
-	want, err := Compute32(narrow, 1e-2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := streamOnce(t, enc.Bytes(), 1e-2, cfg)
-	checkBitIdentical(t, want.DatasetFeatures, got.Dataset, 4, 9)
 }

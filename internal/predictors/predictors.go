@@ -28,14 +28,14 @@
 // every worker count (the earlier compare-and-swap accumulators made the
 // SD/SC reduction order follow goroutine scheduling).
 //
-// The whole pipeline is generic over the stored element type: the
-// float64 instantiation is the bit-exact reference, and the float32
-// instantiation (ComputeDataset32 and friends) keeps dtype-1 stream
-// payloads narrow end to end — every accumulator still runs in float64,
-// so features agree with the float64 path within the documented ULP
-// bounds (see DESIGN.md "Performance" and the f32-vs-f64 differential
-// suite). Per-call working memory comes from a sync.Pool — see
-// scratch.go.
+// The whole pipeline is generic over the stored element type and has one
+// front half, the row-fed core in stream.go: in-memory buffers and CRBS
+// streams both feed it rows. The float64 instantiation is the bit-exact
+// reference; the float32 instantiation keeps dtype-1 stream payloads
+// narrow end to end — every accumulator still runs in float64, so
+// features agree with the float64 path within the documented ULP bounds
+// (see DESIGN.md "Performance" and the f32-vs-f64 differential suite).
+// Per-call working memory comes from a sync.Pool — see scratch.go.
 package predictors
 
 import (
@@ -307,53 +307,43 @@ func (s *dsScratch[F]) pairwisePass(b, workers int) {
 }
 
 // ComputeDataset evaluates the four error-bound-agnostic predictors in one
-// fused pass over block pairs (§IV-C). Results are bit-identical across
-// worker counts and across calls: every reduction runs in fixed index
-// order (see reduceRow, parallel.SumOrderedInto, linalg.FusedBlockMoments).
+// fused pass over block pairs (§IV-C). It validates the buffer and feeds
+// its rows to the pooled stream core, so the result is bit-identical to
+// streaming the same slice. Results are bit-identical across worker
+// counts and across calls: every reduction runs in fixed index order
+// (see reduceRow, parallel.SumOrderedInto, linalg.FusedBlockMoments).
 func ComputeDataset(buf *grid.Buffer, cfg Config) (DatasetFeatures, error) {
-	cfg = cfg.withDefaults()
 	if err := buf.Validate(grid.DefaultValidation); err != nil {
 		return DatasetFeatures{}, fmt.Errorf("predictors: %w", err)
 	}
-	tSetup := time.Now()
-	t, err := grid.MakeBlocking(buf, cfg.K)
-	if err != nil {
-		return DatasetFeatures{}, fmt.Errorf("predictors: %w", err)
-	}
-	b := t.NumBlocks()
-	k2 := cfg.K * cfg.K
-	s := getScratch[float64](b, k2)
-	defer putScratch(s)
-	s.vecs = t.VecAllInto(s.vecs, s.backing)
-	gm, gsd := stats.MeanStd(buf.Data)
-	fillBlockStats(s, gm, gsd, b, t.Bc)
-	s.fk2 = float64(k2)
-	s.invK2 = 0
-	if k2&(k2-1) == 0 {
-		s.invK2 = 1 / s.fk2
-	}
-	setup := time.Since(tSetup).Seconds()
-	return finishDataset(s, b, k2, cfg.Workers, cfg.SkipProfile, setup), nil
+	df, _, err := featurize(buf.Rows, buf.Cols, buf.Data, nil, cfg)
+	return df, err
 }
 
-// ComputeDataset32 is ComputeDataset for native float32 data. It routes
-// the buffer through the same generic core as the float32 streaming
-// path (scatter, fused moments, SIMD Gram, vectorized pairwise reduce),
-// so its features are bit-identical to streaming the same slice as a
-// dtype-1 CRBS stream — and agree with ComputeDataset over the widened
-// buffer within the documented ULP bounds.
-func ComputeDataset32(buf *grid.Buffer32, cfg Config) (DatasetFeatures, error) {
-	df, _, err := compute32(buf, nil, cfg)
-	return df, err
+// featurize feeds a row-major rows×cols slice row by row through the
+// pooled stream core — the code path every CRBS stream takes — and
+// returns the dataset features plus one distortion per eps. It is the
+// single in-memory front half, generic over the element type; callers
+// validate the data first.
+func featurize[F linalg.Float](rows, cols int, data []F, eps []float64, cfg Config) (DatasetFeatures, []float64, error) {
+	f, err := getCore[F](rows, cols, cfg, "buffer")
+	if err != nil {
+		return DatasetFeatures{}, nil, err
+	}
+	defer putCore(f)
+	for r := 0; r < rows; r++ {
+		if err := f.AddRow(data[r*cols : (r+1)*cols]); err != nil {
+			return DatasetFeatures{}, nil, err
+		}
+	}
+	return f.Finish(eps...)
 }
 
 // finishDataset evaluates the four dataset predictors from a scratch
 // whose block matrix V is already standardized and whose moments and
-// second-moment triangle are filled (fillBlockStats). It is the shared
-// back half of the in-memory and streaming paths: both feed the
-// identical scratch state through the identical fixed-order kernels,
-// which is what makes the streaming result bit-identical to
-// ComputeDataset by construction rather than by tolerance. setup is the
+// second-moment triangle are filled (fillBlockStats). It is the back
+// half of every feature computation; its fixed-order kernels are what
+// make the result independent of the worker count. setup is the
 // fused-traversal cost attributed across the four predictors'
 // histograms.
 func finishDataset[F linalg.Float](s *dsScratch[F], b, k2, workers int, skipProfile bool, setup float64) DatasetFeatures {
@@ -534,25 +524,6 @@ func ComputeEB(buf *grid.Buffer, eps float64, cfg Config) (float64, error) {
 	return 2*h - 2*hq - math.Log2(12), nil
 }
 
-// ComputeEB32 is ComputeEB for native float32 data. The entropy
-// estimators widen each element exactly and bin in float64, so the
-// result is bit-identical to ComputeEB over the widened buffer.
-func ComputeEB32(buf *grid.Buffer32, eps float64, cfg Config) (float64, error) {
-	cfg = cfg.withDefaults()
-	if err := validateEps(eps); err != nil {
-		return 0, err
-	}
-	if err := buf.Validate(grid.DefaultValidation); err != nil {
-		return 0, fmt.Errorf("predictors: %w", err)
-	}
-	t0 := time.Now()
-	seg := [][]float32{buf.Data}
-	h := stats.HistogramEntropySeg(seg, ebBins(cfg))
-	hq := stats.QuantizedEntropySeg(seg, eps)
-	obsDist.Observe(time.Since(t0).Seconds())
-	return 2*h - 2*hq - math.Log2(12), nil
-}
-
 func validateEps(eps float64) error {
 	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
 		return fmt.Errorf("predictors: %w: error bound must be positive and finite, got %g",
@@ -582,40 +553,6 @@ func Compute(buf *grid.Buffer, eps float64, cfg Config) (Features, error) {
 		return Features{}, err
 	}
 	return Features{DatasetFeatures: df, Distortion: d}, nil
-}
-
-// Compute32 evaluates the full 5-feature covariate vector from native
-// float32 data in one pass over the generic core.
-func Compute32(buf *grid.Buffer32, eps float64, cfg Config) (Features, error) {
-	if err := validateEps(eps); err != nil {
-		return Features{}, err
-	}
-	df, dist, err := compute32(buf, []float64{eps}, cfg)
-	if err != nil {
-		return Features{}, err
-	}
-	return Features{DatasetFeatures: df, Distortion: dist[0]}, nil
-}
-
-// compute32 feeds a float32 buffer row by row through the generic
-// streaming core — the identical code path a dtype-1 CRBS stream takes —
-// so the in-memory and streamed float32 features are bit-identical by
-// construction.
-func compute32(buf *grid.Buffer32, eps []float64, cfg Config) (DatasetFeatures, []float64, error) {
-	if err := buf.Validate(grid.DefaultValidation); err != nil {
-		return DatasetFeatures{}, nil, fmt.Errorf("predictors: %w", err)
-	}
-	f, err := getCore[float32](buf.Rows, buf.Cols, cfg)
-	if err != nil {
-		return DatasetFeatures{}, nil, err
-	}
-	defer putCore(f)
-	for r := 0; r < buf.Rows; r++ {
-		if err := f.AddRow(buf.Data[r*buf.Cols : (r+1)*buf.Cols]); err != nil {
-			return DatasetFeatures{}, nil, err
-		}
-	}
-	return f.Finish(eps...)
 }
 
 // Combine merges previously computed dataset features with a fresh

@@ -30,7 +30,9 @@ func TestScratchShapeChurnHammer(t *testing.T) {
 		{40, 56, 8},
 	}
 	bufs := make([]*grid.Buffer, len(shapes))
+	narrow := make([][]float32, len(shapes))
 	refs := make([]DatasetFeatures, len(shapes))
+	refs32 := make([]DatasetFeatures, len(shapes))
 	for i, sh := range shapes {
 		bufs[i] = mixedMagnitudeBuffer(sh.rows, sh.cols, int64(1000+i))
 		want, err := ComputeDataset(bufs[i], Config{K: sh.k, Workers: 1})
@@ -38,6 +40,13 @@ func TestScratchShapeChurnHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 		refs[i] = want
+		// The float32 reference is the workers=1 whole-chunk stream.
+		raw := encodeStream(t, bufs[i], grid.DTypeF32, sh.rows)
+		refs32[i] = streamOnce(t, raw, 1e-3, Config{K: sh.k, Workers: 1}).Dataset
+		narrow[i] = make([]float32, len(bufs[i].Data))
+		for j, v := range bufs[i].Data {
+			narrow[i][j] = float32(v)
+		}
 	}
 
 	const goroutines = 8
@@ -56,17 +65,16 @@ func TestScratchShapeChurnHammer(t *testing.T) {
 					return
 				}
 				checkBitIdentical(t, refs[i], got, g, it)
-				// Interleave float32 calls so both pool instantiations
-				// churn against each other.
+				// Interleave float32 core calls so both pool
+				// instantiations churn against each other.
 				if it%3 == 0 {
-					n := grid.NewBuffer32(bufs[i].Rows, bufs[i].Cols)
-					for j, v := range bufs[i].Data {
-						n.Data[j] = float32(v)
-					}
-					if _, err := ComputeDataset32(n, Config{K: shapes[i].k, Workers: 1}); err != nil {
+					got32, _, err := featurize(shapes[i].rows, shapes[i].cols, narrow[i], nil,
+						Config{K: shapes[i].k, Workers: 1})
+					if err != nil {
 						errc <- err
 						return
 					}
+					checkBitIdentical(t, refs32[i], got32, g, it)
 				}
 			}
 		}(g)
@@ -101,19 +109,20 @@ func TestComputeDatasetZeroAlloc(t *testing.T) {
 		t.Fatalf("warm ComputeDataset (SkipProfile, workers=1): %.1f allocs/op, want 0", allocs)
 	}
 
-	narrow := grid.NewBuffer32(buf.Rows, buf.Cols)
+	// The float32 core fed from memory holds the same contract.
+	narrow := make([]float32, len(buf.Data))
 	for i, v := range buf.Data {
-		narrow.Data[i] = float32(v)
+		narrow[i] = float32(v)
 	}
-	if _, err := ComputeDataset32(narrow, cfg); err != nil {
+	if _, _, err := featurize(buf.Rows, buf.Cols, narrow, nil, cfg); err != nil {
 		t.Fatal(err)
 	}
 	allocs = testing.AllocsPerRun(50, func() {
-		if _, err := ComputeDataset32(narrow, cfg); err != nil {
+		if _, _, err := featurize(buf.Rows, buf.Cols, narrow, nil, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm ComputeDataset32 (SkipProfile, workers=1): %.1f allocs/op, want 0", allocs)
+		t.Fatalf("warm float32 core (SkipProfile, workers=1): %.1f allocs/op, want 0", allocs)
 	}
 }

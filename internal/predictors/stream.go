@@ -1,18 +1,18 @@
 package predictors
 
-// stream.go is the one-pass, chunk-fed front end of the predictor
-// pipeline (ROADMAP item 2): rows arrive through an io.Reader-backed
-// grid.ChunkReader and are scattered straight into the vectorized block
-// matrix V, so the raw row-major buffer is never materialized. Working
-// memory per slice is V plus the pooled kernel scratch — independent of
-// how many slices (3D planes or time steps) the stream carries, which is
-// what makes a multi-GB volume estimable on a machine that holds one
-// slice.
+// stream.go is the one front half of the predictor pipeline: rows are
+// scattered straight into the vectorized block matrix V as they arrive,
+// whether from an io.Reader-backed grid.ChunkReader (ForEachSlice) or
+// from an in-memory buffer (featurize, behind ComputeDataset). A stream's
+// raw row-major buffer is never materialized: working memory per slice is
+// V plus the pooled kernel scratch — independent of how many slices (3D
+// planes or time steps) the stream carries, which is what makes a
+// multi-GB volume estimable on a machine that holds one slice.
 //
-// Bit-identity contract (enforced by the differential suite): for every
-// chunk size and worker count, the streamed features are bit-identical to
-// the same-precision in-memory path over the same slice, because each
-// reduction is fed the identical values in the identical order:
+// Bit-identity contract (enforced by the differential and golden suites):
+// for every chunk size and worker count, the features are the same bits
+// however the rows arrive, because each reduction is fed the identical
+// values in the identical order:
 //
 //   - The global moments accumulate s += v, s2 += v*v per (widened)
 //     element in row-major arrival order — exactly stats.MeanStd's
@@ -20,23 +20,21 @@ package predictors
 //   - Block vectorization places each element at the same V coordinate a
 //     grid.Blocking.Vec copy would; standardization, the per-block
 //     moments, and the second-moment triangle then run as one fused
-//     traversal (linalg.FusedBlockMoments) shared with the in-memory
-//     path.
-//   - The pairwise/Gram/eigen back half is literally shared code
-//     (finishDataset), already bit-identical across worker counts.
+//     traversal (linalg.FusedBlockMoments).
+//   - The pairwise/Gram/eigen back half (finishDataset) is bit-identical
+//     across worker counts.
 //   - The entropy estimators are functions of the value multiset only
 //     (see stats/segments.go), so feeding them V-plus-crop instead of
 //     the row-major buffer changes nothing.
 //
 // The core is generic over the element type. float64 streams take the
-// bit-exact reference path. float32 streams (dtype 1) are consumed
-// natively — payload bits land in a float32 V at half the memory
-// traffic, and the in-memory float32 entry points (ComputeDataset32,
-// Compute32) run through this same core, so in-memory and streamed
-// float32 features are bit-identical by construction. Against the
-// float64 path over the widened values, float32 features carry the
-// documented ULP-level differences of the narrow kernels (see DESIGN.md
-// "Performance").
+// bit-exact reference path, and the in-memory ComputeDataset is this same
+// core fed row by row from the buffer (featurize), so in-memory and
+// streamed float64 features are bit-identical by construction. float32
+// streams (dtype 1) are consumed natively — payload bits land in a
+// float32 V at half the memory traffic. Against the float64 path over the
+// widened values, float32 features carry the documented ULP-level
+// differences of the narrow kernels (see DESIGN.md "Performance").
 
 import (
 	"fmt"
@@ -51,10 +49,11 @@ import (
 	"github.com/crestlab/crest/internal/stats"
 )
 
-// streamFeaturizer is the precision-generic core of StreamFeaturizer and
-// StreamFeaturizer32. It is not safe for concurrent use; Reset re-arms
-// it for the next slice of the same shape reusing all of its memory, so
-// a long stream costs a constant number of allocations per slice.
+// streamFeaturizer is the precision-generic core behind StreamFeaturizer,
+// ForEachSlice and the in-memory ComputeDataset. It is not safe for
+// concurrent use; Reset re-arms it for the next slice of the same shape
+// reusing all of its memory, so a long stream costs a constant number of
+// allocations per slice.
 type streamFeaturizer[F linalg.Float] struct {
 	cfg        Config
 	rows, cols int
@@ -78,59 +77,20 @@ type streamFeaturizer[F linalg.Float] struct {
 	finished bool
 }
 
-// newStreamCore prepares a featurizer core for rows×cols slices under
-// cfg. Like grid.NewBlocking it crops to the largest multiple of K and
-// rejects slices smaller than one block.
-func newStreamCore[F linalg.Float](rows, cols int, cfg Config) (*streamFeaturizer[F], error) {
+// init shapes f for rows×cols slices under cfg and arms it, keeping any
+// crop and segment capacity f already holds. It is the one shape check of
+// every featurizer: like grid.NewBlocking it crops to the largest multiple
+// of K and rejects slices smaller than one block. what names the input in
+// the error text ("slice" for streams, "buffer" for in-memory data).
+func (f *streamFeaturizer[F]) init(rows, cols int, cfg Config, what string) error {
 	cfg = cfg.withDefaults()
 	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("predictors: %w: slice shape %dx%d", crerr.ErrInvalidBuffer, rows, cols)
+		return fmt.Errorf("predictors: %w: %s shape %dx%d", crerr.ErrInvalidBuffer, what, rows, cols)
 	}
 	br, bc := rows/cfg.K, cols/cfg.K
 	if br == 0 || bc == 0 {
-		return nil, fmt.Errorf("predictors: %w: %dx%d slice with k=%d", grid.ErrNotTileable, rows, cols, cfg.K)
+		return fmt.Errorf("predictors: %w: %dx%d %s with k=%d", grid.ErrNotTileable, rows, cols, what, cfg.K)
 	}
-	k2 := cfg.K * cfg.K
-	f := &streamFeaturizer[F]{
-		cfg:  cfg,
-		rows: rows, cols: cols,
-		k: cfg.K, br: br, bc: bc,
-		b: br * bc, k2: k2,
-	}
-	f.arm()
-	return f, nil
-}
-
-// corePool64/corePool32 recycle whole featurizer cores for the internal
-// in-memory entry points (compute32), which otherwise allocate one core
-// struct per call. The public constructors deliberately do NOT use the
-// pools: they copy the core into an exported wrapper struct, and a
-// pooled object must never alias a caller-held copy.
-var (
-	corePool64 = sync.Pool{New: func() any { return new(streamFeaturizer[float64]) }}
-	corePool32 = sync.Pool{New: func() any { return new(streamFeaturizer[float32]) }}
-)
-
-// getCore is newStreamCore backed by the core pools; release with
-// putCore (not Close).
-func getCore[F linalg.Float](rows, cols int, cfg Config) (*streamFeaturizer[F], error) {
-	cfg = cfg.withDefaults()
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("predictors: %w: slice shape %dx%d", crerr.ErrInvalidBuffer, rows, cols)
-	}
-	br, bc := rows/cfg.K, cols/cfg.K
-	if br == 0 || bc == 0 {
-		return nil, fmt.Errorf("predictors: %w: %dx%d slice with k=%d", grid.ErrNotTileable, rows, cols, cfg.K)
-	}
-	var f *streamFeaturizer[F]
-	switch p := any(&f).(type) {
-	case **streamFeaturizer[float64]:
-		*p = corePool64.Get().(*streamFeaturizer[float64])
-	case **streamFeaturizer[float32]:
-		*p = corePool32.Get().(*streamFeaturizer[float32])
-	}
-	// Reinitialize every shape field while keeping the recycled crop and
-	// segment capacity (the same shape-reuse contract as getScratch).
 	crop, segs := f.crop, f.segs
 	*f = streamFeaturizer[F]{
 		cfg:  cfg,
@@ -140,15 +100,39 @@ func getCore[F linalg.Float](rows, cols int, cfg Config) (*streamFeaturizer[F], 
 		crop: crop[:0], segs: segs[:0],
 	}
 	f.arm()
+	return nil
+}
+
+// corePool64/corePool32 recycle whole featurizer cores across in-memory
+// calls and streams, so a warm call allocates no core struct. The public
+// NewStreamFeaturizer deliberately does NOT use the pools: it hands the
+// core to the caller, and a pooled object must never alias a caller-held
+// one.
+var (
+	corePool64 = sync.Pool{New: func() any { return new(streamFeaturizer[float64]) }}
+	corePool32 = sync.Pool{New: func() any { return new(streamFeaturizer[float32]) }}
+)
+
+// getCore is init on a core from the pools; release with putCore (not
+// Close).
+func getCore[F linalg.Float](rows, cols int, cfg Config, what string) (*streamFeaturizer[F], error) {
+	var f *streamFeaturizer[F]
+	switch p := any(&f).(type) {
+	case **streamFeaturizer[float64]:
+		*p = corePool64.Get().(*streamFeaturizer[float64])
+	case **streamFeaturizer[float32]:
+		*p = corePool32.Get().(*streamFeaturizer[float32])
+	}
+	if err := f.init(rows, cols, cfg, what); err != nil {
+		putCore(f)
+		return nil, err
+	}
 	return f, nil
 }
 
 // putCore releases a getCore featurizer and its scratch to the pools.
 func putCore[F linalg.Float](f *streamFeaturizer[F]) {
-	if f.s != nil {
-		putScratch(f.s)
-		f.s = nil
-	}
+	f.Close()
 	switch t := any(f).(type) {
 	case *streamFeaturizer[float64]:
 		corePool64.Put(t)
@@ -190,15 +174,21 @@ func (f *streamFeaturizer[F]) AddRow(row []F) error {
 	if f.rowIdx >= f.rows {
 		return fmt.Errorf("predictors: %w: row %d past slice of %d rows", crerr.ErrInvalidBuffer, f.rowIdx, f.rows)
 	}
+	// Accumulate into locals and commit only once the whole row has
+	// passed: a rejected row must leave no trace in the global moments,
+	// or a caller retrying with the clean row would get shifted features.
+	// The addition order is unchanged, so the result bits are too.
+	sum, sum2 := f.sum, f.sum2
 	for c, raw := range row {
 		v := float64(raw)
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("predictors: %w: value at row %d col %d is %g",
 				crerr.ErrNonFiniteData, f.rowIdx, c, v)
 		}
-		f.sum += v
-		f.sum2 += v * v
+		sum += v
+		sum2 += v * v
 	}
+	f.sum, f.sum2 = sum, sum2
 	r := f.rowIdx
 	if r < f.br*f.k {
 		// Scatter the in-grid prefix into the block matrix: element
@@ -316,28 +306,11 @@ type StreamFeaturizer struct {
 // NewStreamFeaturizer prepares a float64 featurizer for rows×cols slices
 // under cfg.
 func NewStreamFeaturizer(rows, cols int, cfg Config) (*StreamFeaturizer, error) {
-	core, err := newStreamCore[float64](rows, cols, cfg)
-	if err != nil {
+	f := new(StreamFeaturizer)
+	if err := f.init(rows, cols, cfg, "slice"); err != nil {
 		return nil, err
 	}
-	return &StreamFeaturizer{streamFeaturizer: *core}, nil
-}
-
-// StreamFeaturizer32 computes the predictor features of one 2D slice
-// from native float32 rows — the half-bandwidth path dtype-1 CRBS
-// streams take.
-type StreamFeaturizer32 struct {
-	streamFeaturizer[float32]
-}
-
-// NewStreamFeaturizer32 prepares a float32 featurizer for rows×cols
-// slices under cfg.
-func NewStreamFeaturizer32(rows, cols int, cfg Config) (*StreamFeaturizer32, error) {
-	core, err := newStreamCore[float32](rows, cols, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamFeaturizer32{streamFeaturizer: *core}, nil
+	return f, nil
 }
 
 // SliceFeatures are the streamed predictor outputs of one slice.
@@ -385,11 +358,11 @@ func ForEachSlice(cr *grid.ChunkReader, eps []float64, cfg Config, fn func(Slice
 
 func forEachSlice[F linalg.Float](cr *grid.ChunkReader, eps []float64, cfg Config, fn func(SliceFeatures) error) error {
 	hdr := cr.Header()
-	f, err := newStreamCore[F](hdr.Rows, hdr.Cols, cfg)
+	f, err := getCore[F](hdr.Rows, hdr.Cols, cfg, "slice")
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer putCore(f)
 	row := make([]F, hdr.Cols)
 	step := 0
 	for {

@@ -87,36 +87,21 @@ func TestStreamingDifferentialBitIdentity(t *testing.T) {
 	}
 }
 
-// TestStreamingFloat32NativeContract pins the float32 accuracy contract
-// after the native-f32 pipeline: a dtype-1 stream is processed at
-// float32 end to end, and its features are bit-identical to the
-// in-memory float32 entry points (Compute32/ComputeDataset32) over the
-// narrowed buffer — both run the identical generic core. The distortion
-// additionally matches ComputeEB over the widened buffer bit-for-bit,
-// because the entropy estimators widen exactly and bin in float64.
+// TestStreamingFloat32NativeContract pins the float32 distortion
+// contract: a dtype-1 stream is processed at float32 end to end, yet its
+// distortion matches ComputeEB over the widened buffer bit-for-bit,
+// because the entropy estimators widen exactly and bin in float64 — the
+// entropy is a function of the value multiset.
 func TestStreamingFloat32NativeContract(t *testing.T) {
 	buf := mixedMagnitudeBuffer(64, 72, 7)
 	raw := encodeStream(t, buf, grid.DTypeF32, 5)
+	got := streamOnce(t, raw, 1e-2, Config{K: 8, Workers: 4})
 
-	narrow := grid.NewBuffer32(buf.Rows, buf.Cols)
-	for i, v := range buf.Data {
-		narrow.Data[i] = float32(v)
+	widened := buf.Clone()
+	for i, v := range widened.Data {
+		widened.Data[i] = float64(float32(v))
 	}
-	cfg := Config{K: 8, Workers: 4}
-	want, err := Compute32(narrow, 1e-2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := streamOnce(t, raw, 1e-2, cfg)
-	checkBitIdentical(t, want.DatasetFeatures, got.Dataset, 4, 5)
-	if math.Float64bits(got.Distortions[0]) != math.Float64bits(want.Distortion) {
-		t.Errorf("float32 distortion differs bitwise: %.17g vs %.17g", got.Distortions[0], want.Distortion)
-	}
-
-	// The widened buffer's float64 distortion must agree bit-for-bit:
-	// entropy is a function of the value multiset, widened exactly.
-	widened := narrow.Widen()
-	wantD, err := ComputeEB(widened, 1e-2, cfg)
+	wantD, err := ComputeEB(widened, 1e-2, Config{K: 8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +237,52 @@ func TestStreamingNonFiniteRejected(t *testing.T) {
 	}
 	if out != nil {
 		t.Error("features returned for poisoned stream")
+	}
+}
+
+// TestRejectedRowLeavesNoTrace pins that a row AddRow rejects for a
+// non-finite value contributes nothing: retrying with the clean row must
+// give the exact bits of a featurizer that never saw the bad one. A row
+// whose prefix reached the global moments before the NaN was found
+// would shift SD and every standardized feature.
+func TestRejectedRowLeavesNoTrace(t *testing.T) {
+	const n, badRow, badCol = 32, 5, 20
+	buf := mixedMagnitudeBuffer(n, n, 11)
+	cfg := Config{K: 8, Workers: 1}
+	feed := func(poison bool) (DatasetFeatures, float64) {
+		t.Helper()
+		f, err := NewStreamFeaturizer(n, n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		for r := 0; r < n; r++ {
+			row := buf.Data[r*n : (r+1)*n]
+			if poison && r == badRow {
+				bad := append([]float64(nil), row...)
+				bad[badCol] = math.NaN()
+				if err := f.AddRow(bad); !errors.Is(err, crerr.ErrNonFiniteData) {
+					t.Fatalf("NaN row: want ErrNonFiniteData, got %v", err)
+				}
+				if f.RowsFed() != badRow {
+					t.Fatalf("rejected row advanced the row count to %d", f.RowsFed())
+				}
+			}
+			if err := f.AddRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		df, dist, err := f.Finish(1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return df, dist[0]
+	}
+	want, wantD := feed(false)
+	got, gotD := feed(true)
+	checkBitIdentical(t, want, got, 1, badRow)
+	if math.Float64bits(gotD) != math.Float64bits(wantD) {
+		t.Errorf("distortion %.17g after a rejected row, want %.17g", gotD, wantD)
 	}
 }
 

@@ -62,7 +62,6 @@ WORK_DELAY="${BENCH_WORK_DELAY:-2ms}"
 PRED_OUT="${BENCH_PRED_OUT:-BENCH_predictors.json}"
 PRED_EDGE="${BENCH_PRED_EDGE:-512}"
 PRED_ITERS="${BENCH_PRED_ITERS:-10}"
-PRED_DTYPE="${BENCH_PRED_DTYPE:-f64}"
 PRED_MAX_REGRESSION="${BENCH_PRED_MAX_REGRESSION:-1.3}"
 STREAM_OUT="${BENCH_STREAM_OUT:-BENCH_stream.json}"
 STREAM_EDGE="${BENCH_STREAM_EDGE:-256}"
@@ -104,13 +103,12 @@ fi
 if [ "$MODE" = "all" ] || [ "$MODE" = "predictors" ]; then
     # Capture the committed baseline's p50 BEFORE the fresh run overwrites
     # the report. The gate only fires when the committed report covers the
-    # same operating point (edge/dtype), so a sweep at another size does
-    # not compare apples to oranges.
+    # same operating point (edge), so a sweep at another size does not
+    # compare apples to oranges.
     base_p50=""
     if [ -f "$PRED_OUT" ]; then
         base_edge=$(sed -n 's/.*"edge": \([0-9]*\).*/\1/p' "$PRED_OUT")
-        base_dtype=$(sed -n 's/.*"dtype": "\([a-z0-9]*\)".*/\1/p' "$PRED_OUT")
-        if [ "$base_edge" = "$PRED_EDGE" ] && [ "${base_dtype:-f64}" = "$PRED_DTYPE" ]; then
+        if [ "$base_edge" = "$PRED_EDGE" ]; then
             base_p50=$(sed -n 's/.*"p50_seconds": \([0-9.eE+-]*\).*/\1/p' "$PRED_OUT")
         fi
     fi
@@ -118,7 +116,6 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "predictors" ]; then
     go run ./cmd/crest predbench \
         -edge "$PRED_EDGE" \
         -iters "$PRED_ITERS" \
-        -dtype "$PRED_DTYPE" \
         -out "$PRED_OUT"
 
     # Kernel-regression assertion: the fresh p50 must stay within

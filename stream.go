@@ -13,11 +13,11 @@ import (
 // stream format ("CRBS"), the one-pass streaming featurizer, and the
 // online conformal recalibration loop. A multi-GB volume or unbounded
 // temporal feed is estimated slice by slice with O(one slice) working
-// memory, and the streamed features are bit-identical to the in-memory
-// path of the same precision: float64 streams match ComputeFeatures,
-// and float32 streams run the native float32 kernel pipeline and match
-// ComputeFeatures32 over the same values (the two precisions agree to a
-// few ULP of float32 — see DESIGN.md).
+// memory. float64 streams are bit-identical to ComputeFeatures — the
+// in-memory path feeds the same one-pass core from the buffer. float32
+// streams, the one way native float32 data enters the library, run that
+// core at float32 element width and agree with ComputeFeatures over the
+// widened values to a few ULP of float32 (see DESIGN.md).
 
 // StreamDType identifies the element encoding of a block stream.
 type StreamDType = grid.DType
@@ -72,17 +72,6 @@ type StreamFeaturizer = predictors.StreamFeaturizer
 // NewStreamFeaturizer prepares a featurizer for rows×cols slices.
 func NewStreamFeaturizer(rows, cols int, cfg PredictorConfig) (*StreamFeaturizer, error) {
 	return predictors.NewStreamFeaturizer(rows, cols, cfg)
-}
-
-// StreamFeaturizer32 is StreamFeaturizer over native float32 rows: the
-// same one-pass core at float32 element width, bit-identical to
-// ComputeFeatures32 over the assembled slice.
-type StreamFeaturizer32 = predictors.StreamFeaturizer32
-
-// NewStreamFeaturizer32 prepares a float32 featurizer for rows×cols
-// slices.
-func NewStreamFeaturizer32(rows, cols int, cfg PredictorConfig) (*StreamFeaturizer32, error) {
-	return predictors.NewStreamFeaturizer32(rows, cols, cfg)
 }
 
 // ComputeStreamFeatures featurizes every slice of a block stream at the
