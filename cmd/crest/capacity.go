@@ -6,9 +6,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
-	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -18,25 +17,16 @@ import (
 	"time"
 
 	crest "github.com/crestlab/crest"
-	"github.com/crestlab/crest/internal/batch"
 	"github.com/crestlab/crest/internal/capacity"
-	"github.com/crestlab/crest/internal/cluster"
-	"github.com/crestlab/crest/internal/featcache"
-	"github.com/crestlab/crest/internal/grid"
-	"github.com/crestlab/crest/internal/obs"
-	"github.com/crestlab/crest/internal/predictors"
 	"github.com/crestlab/crest/internal/server"
 )
 
-// capacityReport is the JSON document `crest capacity` emits —
-// scripts/bench.sh archives the synthetic mode as BENCH_capacity.json
-// and gates on PeakInRange plus the rel_err block.
+// capacityReport is the JSON document `crest capacity` emits.
 type capacityReport struct {
 	Mode     string `json:"mode"`
 	SweptMin int    `json:"swept_min"`
 	SweptMax int    `json:"swept_max"`
-	// Levels carries the raw per-level aggregates of a real sweep
-	// (absent in synthetic mode, which has no spans).
+	// Levels carries the raw per-level aggregates of the sweep.
 	Levels []capacity.LevelStats `json:"levels,omitempty"`
 	// Curve is the (N, X) samples the fit consumed.
 	Curve []capacity.Point `json:"curve"`
@@ -45,79 +35,59 @@ type capacityReport struct {
 	NStar float64 `json:"n_star,omitempty"`
 	PeakX float64 `json:"peak_throughput_rps,omitempty"`
 	// PeakInRange reports whether the forecast peak lies inside the
-	// swept concurrency range — the sanity gate of the committed
-	// synthetic benchmark.
+	// swept concurrency range.
 	PeakInRange bool `json:"peak_in_range"`
-	// Truth and RelErr are present in synthetic mode only: the
-	// generating parameters and the fit's relative recovery error.
-	Truth  *capacity.Fit `json:"truth,omitempty"`
-	RelErr *struct {
-		Lambda float64 `json:"lambda_rel_err"`
-		Sigma  float64 `json:"sigma_rel_err"`
-		Kappa  float64 `json:"kappa_rel_err"`
-	} `json:"rel_err,omitempty"`
-	// PerPeer carries one fitted curve per replica in fleet mode, built
-	// from the cluster layer's per-peer span tags.
-	PerPeer map[string]*peerCapacity `json:"per_peer,omitempty"`
 }
 
-// peerCapacity is one replica's slice of a fleet sweep.
-type peerCapacity struct {
-	Curve []capacity.Point `json:"curve"`
-	Fit   *capacity.Fit    `json:"fit,omitempty"`
-	NStar float64          `json:"n_star,omitempty"`
-}
-
-// cmdCapacity runs a concurrency sweep — against an in-process server
-// (default), a live server (-url), an in-process fleet (-nodes), or a
-// synthetic USL curve with known parameters (-synthetic) — fits the
-// Universal Scalability Law X(N) = λN/(1+σ(N−1)+κN(N−1)) to the measured
-// throughputs, and reports contention σ, coherence κ and the forecast
-// saturation point N*.
+// cmdCapacity runs a concurrency sweep against a live server (-url),
+// fits the Universal Scalability Law X(N) = λN/(1+σ(N−1)+κN(N−1)) to the
+// measured throughputs, and reports contention σ, coherence κ and the
+// forecast saturation point N*.
 func cmdCapacity(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("capacity", flag.ExitOnError)
 	levelsCSV := fs.String("levels", "1,2,4,8,16,32", "comma-separated concurrency levels to sweep")
 	perLevel := fs.Int("per-level", 100, "requests offered per level")
 	levelTimeout := fs.Duration("level-timeout", 15*time.Second, "wall-time bound per level (in-flight requests at expiry are canceled, not errors)")
-	url := fs.String("url", "", "sweep a live server at this base URL instead of booting one in-process")
-	nodes := fs.Int("nodes", 0, "boot an in-process fleet of this size and sweep through its first node (0: single server)")
-	synthetic := fs.Bool("synthetic", false, "skip the sweep: generate X(N) from known (lambda, sigma, kappa) plus noise and report fit recovery error")
-	lambda := fs.Float64("lambda", 1000, "synthetic single-stream throughput λ (req/s)")
-	sigma := fs.Float64("sigma", 0.05, "synthetic contention σ")
-	kappa := fs.Float64("kappa", 0.001, "synthetic coherence κ")
-	noise := fs.Float64("noise", 0.02, "synthetic multiplicative throughput noise amplitude")
-	seed := fs.Int64("seed", 7, "synthetic noise seed")
-	maxInflight := fs.Int("max-inflight", 4, "in-process server execution slots")
-	maxQueue := fs.Int("max-queue", 64, "in-process server queue bound")
-	workDelay := fs.Duration("work-delay", 2*time.Millisecond, "injected per-estimate work (in-process modes)")
-	rows := fs.Int("rows", 32, "benchmark buffer rows")
-	cols := fs.Int("cols", 32, "benchmark buffer columns")
+	url := fs.String("url", "", "base URL of the server to sweep (required)")
+	rows := fs.Int("rows", 32, "request buffer rows")
+	cols := fs.Int("cols", 32, "request buffer columns")
 	out := fs.String("out", "-", "write the JSON report here (-: stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *url == "" {
+		return fmt.Errorf("need -url: the base URL of a running `crest serve`")
 	}
 	levels, err := parseLevels(*levelsCSV)
 	if err != nil {
 		return err
 	}
 
-	var report capacityReport
-	report.SweptMin, report.SweptMax = levels[0], levels[len(levels)-1]
-	switch {
-	case *synthetic:
-		report = syntheticCapacity(levels, *lambda, *sigma, *kappa, *noise, *seed)
-	case *url != "":
-		report, err = sweepCapacity(ctx, "url", levels, *perLevel, *levelTimeout, nil,
-			httpEstimateDo(*url, *rows, *cols))
-	case *nodes > 0:
-		report, err = fleetCapacity(ctx, levels, *perLevel, *levelTimeout, *nodes,
-			*maxInflight, *maxQueue, *workDelay, *rows, *cols)
-	default:
-		report, err = localCapacity(ctx, levels, *perLevel, *levelTimeout,
-			*maxInflight, *maxQueue, *workDelay, *rows, *cols)
-	}
+	// Keep one idle connection per sweeper at the widest level, so the
+	// sweep times the server rather than TCP handshakes (the default
+	// transport keeps only 2 idle connections per host).
+	maxLevel := levels[len(levels)-1]
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns, tr.MaxIdleConnsPerHost = maxLevel, maxLevel
+	defer tr.CloseIdleConnections()
+	stats, err := capacity.Sweep(ctx, capacity.SweepConfig{
+		Levels:       levels,
+		PerLevel:     *perLevel,
+		LevelTimeout: *levelTimeout,
+		Do:           httpEstimateDo(&http.Client{Transport: tr}, *url, *rows, *cols),
+	})
 	if err != nil {
 		return err
+	}
+	report := capacityReport{
+		Mode:     "url",
+		SweptMin: levels[0],
+		SweptMax: maxLevel,
+		Levels:   stats,
+		Curve:    capacity.CurveFromLevels(stats),
+	}
+	if err := finishFit(&report); err != nil {
+		fmt.Fprintf(os.Stderr, "capacity: fit skipped: %v\n", err)
 	}
 
 	printCapacityHuman(os.Stderr, report)
@@ -134,6 +104,21 @@ func cmdCapacity(ctx context.Context, args []string) error {
 		return err
 	}
 	fmt.Printf("wrote %s\n", *out)
+	return nil
+}
+
+// finishFit attaches the USL fit (and its saturation forecast) to a
+// report whose Curve and swept range are already populated.
+func finishFit(report *capacityReport) error {
+	fit, err := capacity.FitUSL(report.Curve)
+	if err != nil {
+		return err
+	}
+	report.Fit = &fit
+	if nstar, xpeak, ok := fit.Peak(); ok {
+		report.NStar, report.PeakX = nstar, xpeak
+		report.PeakInRange = nstar >= float64(report.SweptMin) && nstar <= float64(report.SweptMax)
+	}
 	return nil
 }
 
@@ -163,106 +148,12 @@ func parseLevels(csv string) ([]int, error) {
 	return uniq, nil
 }
 
-// finishFit attaches the USL fit (and its saturation forecast) to a
-// report whose Curve is already populated.
-func finishFit(report *capacityReport) {
-	fit, err := capacity.FitUSL(report.Curve)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "capacity: fit skipped: %v\n", err)
-		return
-	}
-	report.Fit = &fit
-	if nstar, xpeak, ok := fit.Peak(); ok {
-		report.NStar, report.PeakX = nstar, xpeak
-		report.PeakInRange = nstar >= float64(report.SweptMin) && nstar <= float64(report.SweptMax)
-	}
-}
-
-// syntheticCapacity generates X(N) from a known USL curve with seeded
-// multiplicative noise and reports how well the fit recovers the
-// generating parameters — the deterministic workload the committed
-// BENCH_capacity.json gate runs on.
-func syntheticCapacity(levels []int, lambda, sigma, kappa, noise float64, seed int64) capacityReport {
-	truth := capacity.Fit{Lambda: lambda, Sigma: sigma, Kappa: kappa}
-	rng := rand.New(rand.NewSource(seed))
-	report := capacityReport{
-		Mode:     "synthetic",
-		SweptMin: levels[0],
-		SweptMax: levels[len(levels)-1],
-		Truth:    &truth,
-	}
-	for _, n := range levels {
-		x := truth.Throughput(float64(n)) * (1 + noise*(2*rng.Float64()-1))
-		report.Curve = append(report.Curve, capacity.Point{N: float64(n), X: x})
-	}
-	finishFit(&report)
-	if report.Fit != nil {
-		rel := func(got, want float64) float64 {
-			if want == 0 {
-				return math.Abs(got)
-			}
-			return math.Abs(got-want) / math.Abs(want)
-		}
-		report.RelErr = &struct {
-			Lambda float64 `json:"lambda_rel_err"`
-			Sigma  float64 `json:"sigma_rel_err"`
-			Kappa  float64 `json:"kappa_rel_err"`
-		}{
-			Lambda: rel(report.Fit.Lambda, lambda),
-			Sigma:  rel(report.Fit.Sigma, sigma),
-			Kappa:  rel(report.Fit.Kappa, kappa),
-		}
-	}
-	return report
-}
-
-// sweepCapacity runs the shared sweep-and-fit path over any Do function.
-func sweepCapacity(ctx context.Context, mode string, levels []int, perLevel int,
-	levelTimeout time.Duration, rec *capacity.Recorder,
-	do func(context.Context) error) (capacityReport, error) {
-	stats, err := capacity.Sweep(ctx, capacity.SweepConfig{
-		Levels:       levels,
-		PerLevel:     perLevel,
-		LevelTimeout: levelTimeout,
-		Recorder:     rec,
-		Do:           do,
-	})
-	if err != nil {
-		return capacityReport{}, err
-	}
-	report := capacityReport{
-		Mode:     mode,
-		SweptMin: levels[0],
-		SweptMax: levels[len(levels)-1],
-		Levels:   stats,
-		Curve:    capacity.CurveFromLevels(stats),
-	}
-	finishFit(&report)
-	return report, nil
-}
-
-// benchEstimator trains the tiny synthetic model the serving benches
-// share: the load tools measure the serving stack, not model quality.
-func benchEstimator(ctx context.Context, seed int64) (*crest.Estimator, error) {
-	rng := rand.New(rand.NewSource(seed))
-	samples := make([]crest.Sample, 60)
-	for i := range samples {
-		f := make([]float64, 5)
-		for j := range f {
-			f[j] = rng.NormFloat64()
-		}
-		samples[i] = crest.Sample{Features: f, CR: 1 + 8*math.Exp(0.4*f[0])}
-	}
-	return crest.TrainEstimatorContext(ctx, samples, crest.EstimatorConfig{})
-}
-
 // httpEstimateDo builds a sweep Do that posts distinct estimate bodies
 // (the phase varies per request so the server's feature cache cannot
 // collapse the work) and classifies by status code: 200 OK, 503 shed,
 // anything else an error.
-func httpEstimateDo(baseURL string, rows, cols int) func(context.Context) error {
+func httpEstimateDo(client *http.Client, baseURL string, rows, cols int) func(context.Context) error {
 	var seq atomic.Int64
-	client := &http.Client{}
 	return func(ctx context.Context) error {
 		i := seq.Add(1)
 		data := make([]float64, rows*cols)
@@ -290,6 +181,9 @@ func httpEstimateDo(baseURL string, rows, cols int) func(context.Context) error 
 			}
 			return err
 		}
+		// Read the body to EOF: only then does net/http return the
+		// connection to the idle pool for the next request.
+		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		switch resp.StatusCode {
 		case http.StatusOK:
@@ -302,132 +196,16 @@ func httpEstimateDo(baseURL string, rows, cols int) func(context.Context) error 
 	}
 }
 
-// localCapacity boots the servebench-style in-process server (injected
-// per-estimate work, bounded admission) and sweeps it.
-func localCapacity(ctx context.Context, levels []int, perLevel int, levelTimeout time.Duration,
-	maxInflight, maxQueue int, workDelay time.Duration, rows, cols int) (capacityReport, error) {
-	est, err := benchEstimator(ctx, 17)
-	if err != nil {
-		return capacityReport{}, err
-	}
-	pcfg := est.PredictorConfig()
-	delayed := func(buf *grid.Buffer, c predictors.Config) (predictors.DatasetFeatures, error) {
-		time.Sleep(workDelay)
-		return predictors.ComputeDataset(buf, c)
-	}
-	cache := featcache.NewWithCompute(pcfg, delayed, nil)
-	srv, err := server.New(server.Config{
-		Engine:      batch.New(est, cache, maxInflight),
-		MaxInflight: maxInflight,
-		MaxQueue:    maxQueue,
-		Obs:         obs.NewRegistry(),
-	})
-	if err != nil {
-		return capacityReport{}, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return capacityReport{}, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	return sweepCapacity(ctx, "server", levels, perLevel, levelTimeout, nil,
-		httpEstimateDo("http://"+ln.Addr().String(), rows, cols))
-}
-
-// fleetCapacity boots a clusterbench-style in-process fleet, attaches a
-// span recorder to the entry node's cluster layer, sweeps through that
-// node and fits the USL both fleet-wide and per replica.
-func fleetCapacity(ctx context.Context, levels []int, perLevel int, levelTimeout time.Duration,
-	nodes, maxInflight, maxQueue int, workDelay time.Duration, rows, cols int) (capacityReport, error) {
-	if nodes < 2 {
-		return capacityReport{}, fmt.Errorf("fleet mode needs at least 2 nodes, got %d", nodes)
-	}
-	est, err := benchEstimator(ctx, 23)
-	if err != nil {
-		return capacityReport{}, err
-	}
-	lns := make([]net.Listener, nodes)
-	addrs := make([]string, nodes)
-	for i := range lns {
-		if lns[i], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
-			return capacityReport{}, err
-		}
-		addrs[i] = "http://" + lns[i].Addr().String()
-	}
-	var rec capacity.Recorder
-	pcfg := est.PredictorConfig()
-	for i := range addrs {
-		ccfg := cluster.Config{
-			Self:           addrs[i],
-			Peers:          addrs,
-			ForwardTimeout: 10 * time.Second,
-			Health:         cluster.HealthConfig{Interval: time.Hour, Seed: int64(i + 1)},
-			Obs:            obs.NewRegistry(),
-		}
-		if i == 0 {
-			ccfg.Spans = &rec
-		}
-		cl, err := cluster.New(ccfg)
-		if err != nil {
-			return capacityReport{}, err
-		}
-		defer cl.Close()
-		delayed := func(buf *grid.Buffer, c predictors.Config) (predictors.DatasetFeatures, error) {
-			time.Sleep(workDelay)
-			return predictors.ComputeDataset(buf, c)
-		}
-		srv, err := server.New(server.Config{
-			Engine:      batch.New(est, featcache.NewWithCompute(pcfg, delayed, nil), maxInflight),
-			MaxInflight: maxInflight,
-			MaxQueue:    maxQueue,
-			Cluster:     cl,
-			Obs:         obs.NewRegistry(),
-		})
-		if err != nil {
-			return capacityReport{}, err
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(lns[i])
-		defer hs.Close()
-	}
-
-	report, err := sweepCapacity(ctx, "fleet", levels, perLevel, levelTimeout, &rec,
-		httpEstimateDo(addrs[0], rows, cols))
-	if err != nil {
-		return report, err
-	}
-	report.PerPeer = make(map[string]*peerCapacity)
-	for peer, pts := range capacity.PeerCurves(rec.Spans(), report.Levels) {
-		pc := &peerCapacity{Curve: pts}
-		if fit, err := capacity.FitUSL(pts); err == nil {
-			pc.Fit = &fit
-			if nstar, _, ok := fit.Peak(); ok {
-				pc.NStar = nstar
-			}
-		}
-		report.PerPeer[peer] = pc
-	}
-	return report, nil
-}
-
 // printCapacityHuman writes the operator-facing summary: the measured
 // curve and what the fit says about where the deployment saturates.
 func printCapacityHuman(w *os.File, r capacityReport) {
-	fmt.Fprintf(w, "capacity sweep (%s mode), levels %d..%d\n", r.Mode, r.SweptMin, r.SweptMax)
-	if len(r.Levels) > 0 {
-		fmt.Fprintf(w, "%-6s %10s %6s %6s %6s %6s %10s %10s\n",
-			"N", "X (req/s)", "ok", "shed", "err", "cncl", "p50", "p99")
-		for _, l := range r.Levels {
-			fmt.Fprintf(w, "%-6d %10.1f %6d %6d %6d %6d %10s %10s\n",
-				l.N, l.Throughput, l.OK, l.Shed, l.Errors, l.Canceled,
-				l.P50.Round(100*time.Microsecond), l.P99.Round(100*time.Microsecond))
-		}
-	} else {
-		for _, p := range r.Curve {
-			fmt.Fprintf(w, "  N=%-5g X=%.1f req/s\n", p.N, p.X)
-		}
+	fmt.Fprintf(w, "capacity sweep of %d..%d concurrent clients\n", r.SweptMin, r.SweptMax)
+	fmt.Fprintf(w, "%-6s %10s %6s %6s %6s %6s %10s %10s\n",
+		"N", "X (req/s)", "ok", "shed", "err", "cncl", "p50", "p99")
+	for _, l := range r.Levels {
+		fmt.Fprintf(w, "%-6d %10.1f %6d %6d %6d %6d %10s %10s\n",
+			l.N, l.Throughput, l.OK, l.Shed, l.Errors, l.Canceled,
+			l.P50.Round(100*time.Microsecond), l.P99.Round(100*time.Microsecond))
 	}
 	if r.Fit == nil {
 		fmt.Fprintln(w, "no USL fit (need ≥3 distinct levels with served requests)")
@@ -448,26 +226,5 @@ func printCapacityHuman(w *os.File, r capacityReport) {
 			r.Fit.Lambda/r.Fit.Sigma)
 	default:
 		fmt.Fprintln(w, "forecast: linear scaling over the swept range (σ=κ=0)")
-	}
-	if r.RelErr != nil {
-		fmt.Fprintf(w, "recovery: λ %.2f%%, σ %.2f%%, κ %.2f%% relative error vs truth\n",
-			100*r.RelErr.Lambda, 100*r.RelErr.Sigma, 100*r.RelErr.Kappa)
-	}
-	peers := make([]string, 0, len(r.PerPeer))
-	for p := range r.PerPeer {
-		peers = append(peers, p)
-	}
-	sort.Strings(peers)
-	for _, p := range peers {
-		pc := r.PerPeer[p]
-		if pc.Fit != nil {
-			fmt.Fprintf(w, "  peer %s: λ=%.1f σ=%.4f κ=%.6f", p, pc.Fit.Lambda, pc.Fit.Sigma, pc.Fit.Kappa)
-			if pc.NStar > 0 {
-				fmt.Fprintf(w, " N*=%.1f", pc.NStar)
-			}
-			fmt.Fprintln(w)
-		} else {
-			fmt.Fprintf(w, "  peer %s: %d curve point(s), no fit\n", p, len(pc.Curve))
-		}
 	}
 }

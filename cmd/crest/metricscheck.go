@@ -10,7 +10,6 @@ import (
 	"sort"
 	"time"
 
-	crest "github.com/crestlab/crest"
 	"github.com/crestlab/crest/internal/obs"
 )
 
@@ -198,36 +197,4 @@ func cmdMetricsCheck(ctx context.Context, args []string) error {
 		len(doc.Counters), len(doc.Gauges), len(doc.Histograms),
 		doc.Histograms["http_request_seconds_estimate"].P99, doc.Derived.FeatcacheHitRate)
 	return nil
-}
-
-// writeObsSummary writes the observability summary bench.sh publishes as
-// BENCH_obs.json: per-predictor latency quantiles off the process-wide
-// registry, the shared-cache hit rate, and the full registry snapshot.
-func writeObsSummary(path string, st crest.BatchStats) error {
-	snap := obs.Default().Snapshot()
-	type quantiles struct {
-		Count uint64  `json:"count"`
-		P50   float64 `json:"p50_seconds"`
-		P99   float64 `json:"p99_seconds"`
-	}
-	preds := make(map[string]quantiles)
-	for short, series := range map[string]string{
-		"sd":          "predictor_sd_seconds",
-		"sc":          "predictor_sc_seconds",
-		"coding_gain": "predictor_coding_gain_seconds",
-		"cov_svd":     "predictor_cov_svd_seconds",
-		"distortion":  "predictor_distortion_seconds",
-	} {
-		h := snap.Histograms[series]
-		preds[short] = quantiles{Count: h.Count, P50: h.P50, P99: h.P99}
-	}
-	doc, err := json.MarshalIndent(struct {
-		Predictors   map[string]quantiles `json:"predictors"`
-		CacheHitRate float64              `json:"cache_hit_rate"`
-		Registry     obs.Snapshot         `json:"registry"`
-	}{preds, st.Cache.HitRate(), snap}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(doc, '\n'), 0o644)
 }

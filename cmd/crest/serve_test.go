@@ -259,69 +259,6 @@ func TestCmdBatchStatsJSON(t *testing.T) {
 	}
 }
 
-// TestCmdServeBenchEmitsReport runs a miniature saturation bench and
-// validates the report invariants.
-func TestCmdServeBenchEmitsReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
-	args := []string{"-n", "60", "-concurrency", "12", "-max-inflight", "2",
-		"-max-queue", "2", "-work-delay", "5ms", "-rows", "24", "-cols", "24", "-out", out}
-	if err := cmdServeBench(context.Background(), args); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep serveBenchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("report not JSON: %v: %s", err, raw)
-	}
-	if rep.OK+rep.Shed+rep.Errors != rep.Requests {
-		t.Fatalf("outcomes do not sum: %+v", rep)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("bench saw hard errors: %+v", rep)
-	}
-	if rep.Shed == 0 {
-		t.Fatalf("no shedding at 12x concurrency over 4 slots: %+v", rep)
-	}
-	if rep.OK == 0 || rep.P50Ms <= 0 || rep.P99Ms < rep.P50Ms {
-		t.Fatalf("latency stats implausible: %+v", rep)
-	}
-}
-
-// TestCmdClusterBenchEmitsReport runs a miniature fleet bench and
-// validates the report invariants: no hard errors, hedges fired against
-// the slowed replica, and the hedged tail landed far below the injected
-// delay.
-func TestCmdClusterBenchEmitsReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
-	args := []string{"-n", "60", "-hedge-after", "15ms", "-slow-delay", "200ms", "-out", out}
-	if err := cmdClusterBench(context.Background(), args); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep clusterBenchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("report not JSON: %v: %s", err, raw)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("bench saw request errors: %+v", rep)
-	}
-	if rep.Hedges == 0 || rep.Forwarded == 0 {
-		t.Fatalf("bench never forwarded or hedged: %+v", rep)
-	}
-	if rep.HedgedP99Ms >= rep.SlowDelayMs {
-		t.Fatalf("hedging did not beat the slow replica: %+v", rep)
-	}
-	if rep.HealthyP50Ms <= 0 || rep.HedgedP99Ms <= 0 {
-		t.Fatalf("latency stats implausible: %+v", rep)
-	}
-}
-
 // TestServeClusterFlags boots two clustered serve processes (in-process)
 // that list each other as peers, and checks /statsz exposes the cluster
 // block with both peers while estimates still succeed end to end.

@@ -1,17 +1,14 @@
 // Package capacity is the capacity-planning layer of the serving stack:
-// shared request-span bookkeeping for the load benches, a concurrency
-// sweep driver, and a Universal Scalability Law (USL) fit that turns a
-// measured load-vs-throughput curve into a saturation forecast.
+// request-span bookkeeping, a concurrency sweep driver, an online
+// sampling window, and a Universal Scalability Law (USL) fit that turns
+// a measured load-vs-throughput curve into a saturation forecast.
 //
 // The paper's pitch is that compressibility estimation is cheap enough
 // to run inline at scale; this package answers the operational follow-up
-// — *how much* traffic one deployment takes before it saturates. Every
-// load tool records request spans through one Recorder, aggregates them
-// with one nearest-rank percentile convention (servebench and
-// clusterbench previously each carried their own sort-and-index code,
-// which had drifted), and the sweep driver steps offered concurrency N
-// across a range, measuring throughput X(N) per level. FitUSL then
-// estimates
+// — *how much* traffic one deployment takes before it saturates. The
+// sweep driver steps offered concurrency N across a range, records one
+// span per request, and aggregates each level's spans into throughput
+// X(N) and nearest-rank latency quantiles. FitUSL then estimates
 //
 //	X(N) = λN / (1 + σ(N−1) + κN(N−1))
 //
@@ -26,7 +23,6 @@ import (
 	"errors"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/crestlab/crest/internal/crerr"
@@ -55,73 +51,15 @@ type Span struct {
 	Start    time.Time
 	Duration time.Duration
 	Outcome  Outcome
-	// Level is the offered-concurrency level the span ran under (0 when
-	// recorded outside a sweep).
+	// Level is the offered-concurrency level the span ran under.
 	Level int
-	// Peer tags the replica that served the request in fleet runs, so a
-	// fit can be computed per-replica.
-	Peer string
 }
 
-// Recorder collects spans race-safely. The zero value is ready to use.
-type Recorder struct {
-	mu    sync.Mutex
-	spans []Span
-	level int
-}
-
-// SetLevel sets the concurrency level stamped onto spans recorded with a
-// zero Level — the sweep driver advances it at each level boundary so
-// lower layers (the cluster forwarder) need not know about the sweep.
-func (r *Recorder) SetLevel(n int) {
-	r.mu.Lock()
-	r.level = n
-	r.mu.Unlock()
-}
-
-// Record appends one span, stamping the recorder's current level when
-// the span does not carry its own.
-func (r *Recorder) Record(s Span) {
-	r.mu.Lock()
-	if s.Level == 0 {
-		s.Level = r.level
-	}
-	r.spans = append(r.spans, s)
-	r.mu.Unlock()
-}
-
-// Spans returns a copy of everything recorded so far.
-func (r *Recorder) Spans() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Span, len(r.spans))
-	copy(out, r.spans)
-	return out
-}
-
-// Reset drops all recorded spans (the level tag is kept).
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.spans = r.spans[:0]
-	r.mu.Unlock()
-}
-
-// Percentile returns the p-quantile of durations by the nearest-rank
-// convention: the ⌈p·n⌉-th smallest sample (1-based), so Percentile(d,
-// 0.99) of 100 samples is exactly the 99th sorted value — never an
+// sortedPercentile returns the p-quantile of an ascending slice by the
+// nearest-rank convention: the ⌈p·n⌉-th smallest sample (1-based), so
+// the p99 of 100 samples is exactly the 99th sorted value — never an
 // interpolated point that was not observed. p outside (0,1] clamps to
-// the nearest end; an empty input returns 0. The input is not modified.
-func Percentile(d []time.Duration, p float64) time.Duration {
-	if len(d) == 0 {
-		return 0
-	}
-	s := make([]time.Duration, len(d))
-	copy(s, d)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return sortedPercentile(s, p)
-}
-
-// sortedPercentile is Percentile over an already-sorted slice.
+// the nearest end; an empty input returns 0.
 func sortedPercentile(s []time.Duration, p float64) time.Duration {
 	if len(s) == 0 {
 		return 0

@@ -26,10 +26,6 @@ type SweepConfig struct {
 	// retry loop's error unwrapped enough for errors.Is to see
 	// crerr.ErrCanceled / crerr.ErrOverloaded sentinels.
 	Do func(ctx context.Context) error
-	// Recorder, when set, additionally receives every span (tagged with
-	// the level) — the hook fleet sweeps use to collect per-peer spans
-	// alongside the per-level aggregates.
-	Recorder *Recorder
 }
 
 // Sweep runs the configured load sweep and returns one LevelStats per
@@ -54,9 +50,6 @@ func Sweep(ctx context.Context, cfg SweepConfig) ([]LevelStats, error) {
 		}
 		if err := ctx.Err(); err != nil {
 			return out, err
-		}
-		if cfg.Recorder != nil {
-			cfg.Recorder.SetLevel(n)
 		}
 		st := runLevel(ctx, n, perLevel, cfg)
 		out = append(out, st)
@@ -106,9 +99,6 @@ func runLevel(ctx context.Context, n, perLevel int, cfg SweepConfig) LevelStats 
 				mu.Lock()
 				spans = append(spans, s)
 				mu.Unlock()
-				if cfg.Recorder != nil {
-					cfg.Recorder.Record(s)
-				}
 			}
 		}()
 	}
@@ -130,46 +120,4 @@ func CurveFromLevels(levels []LevelStats) []Point {
 		}
 	}
 	return pts
-}
-
-// PeerCurves groups recorded spans by peer tag into per-level
-// throughput points, using each level's wall-clock window from the
-// aggregates. Spans without a peer tag are skipped. The result feeds
-// FitUSL per replica.
-func PeerCurves(spans []Span, levels []LevelStats) map[string][]Point {
-	walls := make(map[int]time.Duration, len(levels))
-	for _, l := range levels {
-		walls[l.N] = l.Wall
-	}
-	type key struct {
-		peer  string
-		level int
-	}
-	okCount := make(map[key]int)
-	for _, s := range spans {
-		if s.Peer == "" || s.Outcome != OK {
-			continue
-		}
-		okCount[key{s.Peer, s.Level}]++
-	}
-	out := make(map[string][]Point)
-	for k, c := range okCount {
-		wall, okWall := walls[k.level]
-		if !okWall || wall <= 0 {
-			continue
-		}
-		out[k.peer] = append(out[k.peer], Point{N: float64(k.level), X: float64(c) / wall.Seconds()})
-	}
-	for _, pts := range out {
-		sortPoints(pts)
-	}
-	return out
-}
-
-func sortPoints(pts []Point) {
-	for i := 1; i < len(pts); i++ {
-		for j := i; j > 0 && pts[j].N < pts[j-1].N; j-- {
-			pts[j], pts[j-1] = pts[j-1], pts[j]
-		}
-	}
 }

@@ -134,40 +134,3 @@ func TestSweepShedNotErrors(t *testing.T) {
 		t.Fatalf("got ok %d shed %d err %d, want 5/5/0", l.OK, l.Shed, l.Errors)
 	}
 }
-
-func TestSweepRecorderAndPeerCurves(t *testing.T) {
-	var rec Recorder
-	var n atomic.Int64
-	// Simulate a 2-peer fleet: alternate spans tagged per peer through
-	// the recorder hook the cluster layer uses.
-	levels, err := Sweep(context.Background(), SweepConfig{
-		Levels:   []int{1, 2, 4},
-		PerLevel: 40,
-		Recorder: &rec,
-		Do: func(ctx context.Context) error {
-			peer := "http://a"
-			if n.Add(1)%2 == 0 {
-				peer = "http://b"
-			}
-			rec.Record(Span{Outcome: OK, Peer: peer, Duration: time.Millisecond})
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
-	curves := PeerCurves(rec.Spans(), levels)
-	if len(curves) != 2 {
-		t.Fatalf("got %d peer curves, want 2: %v", len(curves), curves)
-	}
-	for peer, pts := range curves {
-		if len(pts) != 3 {
-			t.Fatalf("peer %s has %d levels, want 3", peer, len(pts))
-		}
-		for i := 1; i < len(pts); i++ {
-			if pts[i].N <= pts[i-1].N {
-				t.Fatalf("peer %s curve not sorted by N: %v", peer, pts)
-			}
-		}
-	}
-}

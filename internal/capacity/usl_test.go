@@ -57,8 +57,8 @@ func TestFitUSLGolden(t *testing.T) {
 }
 
 // TestFitUSLNoisy demands <10% relative parameter error under ±2%
-// multiplicative throughput noise — the acceptance bar of the committed
-// synthetic sweep.
+// multiplicative throughput noise, and a forecast peak N* inside the
+// swept range [1, 64].
 func TestFitUSLNoisy(t *testing.T) {
 	const lambda, sigma, kappa = 1000.0, 0.05, 0.001
 	rng := rand.New(rand.NewSource(7))
@@ -71,12 +71,16 @@ func TestFitUSLNoisy(t *testing.T) {
 		t.Fatalf("FitUSL: %v", err)
 	}
 	for _, p := range []struct {
-		name       string
+		name      string
 		got, want float64
 	}{{"lambda", fit.Lambda, lambda}, {"sigma", fit.Sigma, sigma}, {"kappa", fit.Kappa, kappa}} {
 		if rel := math.Abs(p.got-p.want) / p.want; rel >= 0.10 {
 			t.Errorf("%s relative error %.3f >= 0.10 (got %g, want %g)", p.name, rel, p.got, p.want)
 		}
+	}
+	lo, hi := sweepLevels[0], sweepLevels[len(sweepLevels)-1]
+	if nstar, _, ok := fit.Peak(); !ok || nstar < lo || nstar > hi {
+		t.Errorf("forecast N* = %g (peak %v), want inside the swept range [%g, %g]", nstar, ok, lo, hi)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/crestlab/crest/internal/capacity"
 	"github.com/crestlab/crest/internal/crerr"
 	"github.com/crestlab/crest/internal/obs"
 	"github.com/crestlab/crest/internal/retry"
@@ -87,12 +86,6 @@ type Config struct {
 
 	// Obs receives the cluster_* metric series (default obs.Default()).
 	Obs *obs.Registry
-
-	// Spans, when non-nil, receives one capacity.Span per forward leg,
-	// tagged with the peer that served (or failed) it — the raw material
-	// for per-replica USL fits in `crest capacity`. Nil disables span
-	// recording; the hot path then pays only a nil check.
-	Spans *capacity.Recorder
 
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -487,7 +480,7 @@ func (c *Cluster) attempt(ctx context.Context, primary string, req DoRequest) (R
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	go func() {
-		r, err := c.forwardOnce(pctx, primary, req)
+		r, err := c.forwardLeg(pctx, primary, req)
 		done <- legDone{r, err, primary}
 	}()
 
@@ -534,7 +527,7 @@ func (c *Cluster) attempt(ctx context.Context, primary string, req DoRequest) (R
 			defer bcancel()
 			pending++
 			go func() {
-				r, err := c.forwardOnce(bctx, backup, req)
+				r, err := c.forwardLeg(bctx, backup, req)
 				done <- legDone{r, err, backup}
 			}()
 		case <-ctx.Done():
@@ -568,33 +561,6 @@ func (c *Cluster) hedgeDelay() time.Duration {
 		d = c.cfg.HedgeMax
 	}
 	return d
-}
-
-// forwardOnce delivers one forward leg through forwardLeg and, when a
-// span recorder is configured, records the leg tagged with its peer.
-// Outcome mapping: pass-through → OK, 503/drain → Shed, transport
-// errors and 5xx → Error, and a leg abandoned from above (hedge loser,
-// caller gone) → Canceled. A peer that blows the forward deadline is an
-// Error, not Canceled: the peer's slowness was observed, the
-// measurement window did not close on it — only ctx death from above
-// reclassifies the leg as Canceled.
-func (c *Cluster) forwardOnce(ctx context.Context, peer string, req DoRequest) (Result, error) {
-	if c.cfg.Spans == nil {
-		return c.forwardLeg(ctx, peer, req)
-	}
-	t0 := time.Now()
-	res, err := c.forwardLeg(ctx, peer, req)
-	out := capacity.Classify(err)
-	if out == capacity.Canceled && ctx.Err() == nil {
-		out = capacity.Error
-	}
-	c.cfg.Spans.Record(capacity.Span{
-		Start:    t0,
-		Duration: time.Since(t0),
-		Outcome:  out,
-		Peer:     peer,
-	})
-	return res, err
 }
 
 // forwardLeg delivers the payload to one peer and settles that peer's

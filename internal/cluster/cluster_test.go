@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/crestlab/crest/internal/capacity"
 	"github.com/crestlab/crest/internal/obs"
 	"github.com/crestlab/crest/internal/retry"
 )
@@ -664,86 +663,5 @@ func TestClusterQuota429IsBreakerSuccessNoHold(t *testing.T) {
 		if p.Addr == "http://b" && p.HoldMs > 0 {
 			t.Fatalf("quota 429 recorded a per-peer hold: %+v", p)
 		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Span recording
-
-// TestClusterSpanRecording: with a Recorder configured, every forward
-// leg lands as one span tagged with its peer, classified OK / Shed /
-// Error, and stamped with the recorder's current sweep level.
-func TestClusterSpanRecording(t *testing.T) {
-	var rec capacity.Recorder
-	rec.SetLevel(4)
-	rt := rtFunc(func(r *http.Request) (*http.Response, error) {
-		switch r.URL.Host {
-		case "b":
-			return okResponse(`{}`), nil
-		case "cc":
-			return statusResponse(http.StatusServiceUnavailable, nil), nil
-		default:
-			return nil, errors.New("connection refused")
-		}
-	})
-	c := newTestCluster(t, []string{"http://self", "http://b", "http://cc", "http://d"}, rt, func(cfg *Config) {
-		cfg.Spans = &rec
-		cfg.Retry = retry.Policy{MaxAttempts: 1, BaseDelay: time.Millisecond, Seed: 1}
-	})
-	for _, peer := range []string{"http://b", "http://cc", "http://d"} {
-		_, _ = c.Do(context.Background(), DoRequest{Peers: []string{peer}, Path: "/x"})
-	}
-	spans := rec.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans, want 3: %+v", len(spans), spans)
-	}
-	want := map[string]capacity.Outcome{
-		"http://b":  capacity.OK,
-		"http://cc": capacity.Shed,
-		"http://d":  capacity.Error,
-	}
-	for _, s := range spans {
-		if w, ok := want[s.Peer]; !ok || s.Outcome != w {
-			t.Errorf("span for %q has outcome %v, want %v", s.Peer, s.Outcome, want[s.Peer])
-		}
-		if s.Level != 4 {
-			t.Errorf("span for %q has level %d, want 4 (recorder stamp)", s.Peer, s.Level)
-		}
-		delete(want, s.Peer)
-	}
-}
-
-// TestClusterSpanCanceledLeg: a leg abandoned because the caller's
-// context died mid-flight records as Canceled, never Error.
-func TestClusterSpanCanceledLeg(t *testing.T) {
-	var rec capacity.Recorder
-	rt := rtFunc(func(r *http.Request) (*http.Response, error) {
-		<-r.Context().Done()
-		return nil, r.Context().Err()
-	})
-	c := newTestCluster(t, []string{"http://self", "http://b"}, rt, func(cfg *Config) {
-		cfg.Spans = &rec
-		cfg.Retry = retry.Policy{MaxAttempts: 1, BaseDelay: time.Millisecond, Seed: 1}
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	if _, err := c.Do(ctx, DoRequest{Peers: []string{"http://b"}, Path: "/x"}); err == nil {
-		t.Fatal("abandoned forward returned nil error")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if spans := rec.Spans(); len(spans) > 0 {
-			if spans[0].Outcome != capacity.Canceled {
-				t.Fatalf("abandoned leg outcome = %v, want Canceled", spans[0].Outcome)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no span recorded for the abandoned leg")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -1,6 +1,8 @@
 package predictors
 
 import (
+	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -124,5 +126,57 @@ func TestComputeDatasetZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm float32 core (SkipProfile, workers=1): %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestStreamAllocsFlatWithLength pins the O(slice) working-memory claim
+// of streaming ingest: ComputeStream drains a stream through one pooled
+// featurizer and a reused row buffer, so allocations per slice must not
+// grow with the stream length. A rising ratio means per-slice state is
+// leaking into per-stream state.
+func TestStreamAllocsFlatWithLength(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops items randomly under -race; alloc counts are nondeterministic")
+	}
+	const short, long = 2, 16
+	cfg := Config{K: 8}
+	for _, edge := range []int{64, 128} {
+		for _, dt := range []grid.DType{grid.DTypeF64, grid.DTypeF32} {
+			bufs := make([]*grid.Buffer, long)
+			for i := range bufs {
+				bufs[i] = mixedMagnitudeBuffer(edge, edge, int64(100+i))
+			}
+			perSlice := func(n int) float64 {
+				var enc bytes.Buffer
+				if err := grid.EncodeBuffers(&enc, bufs[:n], dt, 32); err != nil {
+					t.Fatal(err)
+				}
+				run := func() {
+					cr, err := grid.NewChunkReader(bytes.NewReader(enc.Bytes()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					out, err := ComputeStream(cr, []float64{1e-3}, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(out) != n {
+						t.Fatalf("featurized %d of %d slices", len(out), n)
+					}
+				}
+				run() // warm the featurizer and kernel scratch pools
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				run()
+				runtime.ReadMemStats(&after)
+				return float64(after.Mallocs-before.Mallocs) / float64(n)
+			}
+			a, b := perSlice(short), perSlice(long)
+			if growth := b / a; growth > 1.25 {
+				t.Errorf("%d² dtype %d: %.1f mallocs/slice at %d slices vs %.1f at %d (growth %.2f > 1.25)",
+					edge, dt, b, long, a, short, growth)
+			}
+		}
 	}
 }

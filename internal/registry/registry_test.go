@@ -507,6 +507,54 @@ func TestQuotaTenantTableBounded(t *testing.T) {
 	}
 }
 
+// TestCanaryRouteZeroAlloc pins the per-request cost of the lifecycle
+// layer: resolving a route while a canary split is in flight, and the
+// tenant quota check on both an admitted and a rejected tenant, allocate
+// nothing.
+func TestCanaryRouteZeroAlloc(t *testing.T) {
+	r := openTest(t, t.TempDir(), func(c *Config) {
+		c.Quota = QuotaConfig{Tenants: map[string]TenantQuota{
+			"open":   {Rate: 1e9, Burst: 1 << 30},
+			"closed": {Rate: 0.001, Burst: 1},
+		}}
+	})
+	if _, err := r.Publish("default", goodEstimator(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Publish("default", goodEstimator(t)); err != nil {
+		t.Fatal(err)
+	}
+	canaries := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		rt, err := r.Route("default")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.Canary {
+			canaries++
+		}
+	})
+	if canaries == 0 {
+		t.Fatal("no request routed to the canary: the split is not in flight")
+	}
+	if allocs != 0 {
+		t.Fatalf("Route with a canary in flight: %.1f allocs/op, want 0", allocs)
+	}
+
+	r.AllowTenant("closed") // spend the one-token burst
+	for _, tc := range []struct {
+		tenant string
+		admit  bool
+	}{{"open", true}, {"closed", false}} {
+		if _, ok := r.AllowTenant(tc.tenant); ok != tc.admit {
+			t.Fatalf("AllowTenant(%q) admitted=%v, want %v", tc.tenant, ok, tc.admit)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { r.AllowTenant(tc.tenant) }); allocs != 0 {
+			t.Fatalf("AllowTenant(%q): %.1f allocs/op, want 0", tc.tenant, allocs)
+		}
+	}
+}
+
 // TestDriftTriggersRetrain: sustained bad feedback crosses the drift
 // threshold, kicks off a background retrain over the field library, and
 // the retrained model arrives as a canary candidate.

@@ -252,10 +252,14 @@ func TestClusterChaosSingleNodeCrashLosesNothing(t *testing.T) {
 // then heals the route and watches the breaker recover through half-open.
 func TestClusterChaosBreakerIsolatesFlappingPeer(t *testing.T) {
 	const threshold = 3
+	// OpenFor must outlast the three open-breaker requests below: under
+	// the race detector they take over 100ms, and a breaker that goes
+	// half-open mid-check sends its probe into the storm.
+	const openFor = 500 * time.Millisecond
 	fleet := startChaosFleet(t, 3, func(i int, ccfg *cluster.Config, _ *Config) {
 		ccfg.Breaker = cluster.BreakerConfig{
 			FailureThreshold: threshold,
-			OpenFor:          100 * time.Millisecond,
+			OpenFor:          openFor,
 		}
 	})
 	entry := fleet.nodes[0]
@@ -305,7 +309,7 @@ func TestClusterChaosBreakerIsolatesFlappingPeer(t *testing.T) {
 	// Heal, wait out OpenFor, and drive recovery: the next forward is the
 	// half-open probe; its success closes the breaker.
 	fleet.net.Heal(entry.addr, flappy.addr)
-	time.Sleep(150 * time.Millisecond)
+	time.Sleep(openFor + 50*time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
 	for breakerState(flappy.addr) != "closed" {
 		if time.Now().After(deadline) {
