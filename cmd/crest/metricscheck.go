@@ -26,13 +26,14 @@ type metricsDoc struct {
 }
 
 // requiredHistograms must exist after the server has served at least one
-// estimate from a snapshot-loaded model; those marked nonzero must also
-// have recorded at least one observation.
+// JSON estimate and one CRBS stream from a snapshot-loaded model; those
+// marked nonzero must also have recorded at least one observation.
 var requiredHistograms = []struct {
 	name    string
 	nonzero bool
 }{
 	{"http_request_seconds_estimate", true},
+	{"http_request_seconds_stream", true},
 	{"http_request_seconds_batch", false},
 	{"predictor_sd_seconds", true},
 	{"predictor_sc_seconds", true},

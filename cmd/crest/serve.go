@@ -49,7 +49,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	hedgeAfter := fs.Duration("hedge-after", 0, "fixed backup-request delay (0: adaptive p90 of recent forwards; negative: no hedging)")
 	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive forward failures that open a peer's circuit breaker")
 	breakerOpenFor := fs.Duration("breaker-open-for", 2*time.Second, "how long an open breaker rejects a peer before half-open probing")
-	registryDir := fs.String("registry", "", "serve from a model registry root (each subdirectory is one lineage); mutually exclusive with -model/-model-dir/-peers")
+	registryDir := fs.String("registry", "", "serve from a model registry root (each subdirectory is one lineage); mutually exclusive with -model/-model-dir/-peers/-recalibrate/-recal-window/-recal-band")
 	canaryFraction := fs.Float64("canary-fraction", 0.1, "traffic fraction routed to a canary candidate (registry mode)")
 	keep := fs.Int("keep", 0, "per-lineage snapshot retention budget (registry mode; 0: default, negative: keep all)")
 	quota := fs.String("quota", "", `per-tenant admission quotas "name=rate[:burst],..." in req/s (registry mode; entry "*=..." bounds unlisted tenants)`)
@@ -66,8 +66,23 @@ func cmdServe(ctx context.Context, args []string) error {
 	if sources != 1 {
 		return fmt.Errorf("need exactly one of -model, -model-dir or -registry")
 	}
-	if *registryDir != "" && *peers != "" {
-		return fmt.Errorf("-registry and -peers are mutually exclusive")
+	if *registryDir != "" {
+		var conflict string
+		if *peers != "" {
+			conflict = "peers"
+		}
+		// Each lineage carries its own recalibration state, so these
+		// would be silently ignored. Visit sees a flag set explicitly even
+		// to its default, and the window and band defaults are non-zero.
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "recalibrate", "recal-window", "recal-band":
+				conflict = f.Name
+			}
+		})
+		if conflict != "" {
+			return fmt.Errorf("-registry and -%s are mutually exclusive", conflict)
+		}
 	}
 
 	var est *crest.Estimator
@@ -181,9 +196,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		CapacityWindow: *capacityWindow,
 		Cluster:        cl,
 		Logger:         obs.NewLogger(os.Stderr),
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "crest serve: "+format+"\n", args...)
-		},
 	})
 	if err != nil {
 		ln.Close()

@@ -434,15 +434,25 @@ func TestServeRegistryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeRegistryFlagValidation pins the mutual-exclusion rules.
+// TestServeRegistryFlagValidation pins the mutual-exclusion rules. The
+// registry is servable and the context already canceled, so a flag that
+// serve accepted but ignored would start, drain and return nil instead
+// of failing.
 func TestServeRegistryFlagValidation(t *testing.T) {
+	root := t.TempDir()
+	trainTinySnapshot(t, filepath.Join(root, "default"))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, args := range [][]string{
-		{"-registry", "x", "-model", "y"},
-		{"-registry", "x", "-model-dir", "y"},
-		{"-registry", "x", "-peers", "http://a,http://b"},
+		{"-registry", root, "-model", "y"},
+		{"-registry", root, "-model-dir", "y"},
+		{"-registry", root, "-peers", "http://a,http://b"},
+		{"-registry", root, "-recalibrate"},
+		{"-registry", root, "-recal-window", "64"},
+		{"-registry", root, "-recal-band", "0.03"},
 		{},
 	} {
-		if err := cmdServe(context.Background(), args); err == nil {
+		if err := cmdServe(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...)); err == nil {
 			t.Errorf("args %v: expected a flag validation error", args)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -504,4 +505,24 @@ func TestClusterBatchRoutesAndDegrades(t *testing.T) {
 		t.Fatal("no item was served degraded despite a full partition")
 	}
 	t.Logf("partitioned batch: %d/%d degraded", degraded, n)
+}
+
+// TestClusterSyntaxErrorBeforeCapIs400: a fleet node decodes a body under
+// the single-node contract, so a syntax error the decoder meets before the
+// size cap is a 400 — not the 413 that reading the whole over-cap body
+// first would give.
+func TestClusterSyntaxErrorBeforeCapIs400(t *testing.T) {
+	fleet := startChaosFleet(t, 2, func(_ int, _ *cluster.Config, scfg *Config) {
+		scfg.MaxBodyBytes = 64
+	})
+	body := []byte(`{"rows":}` + strings.Repeat(" ", 256))
+	for _, path := range []string{"/v1/estimate", "/v1/batch"} {
+		resp, out := postJSON(t, fleet.nodes[0].addr+path, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", path, resp.StatusCode, out)
+		}
+		if we := wireErrorOf(t, out); we.Kind != "invalid_buffer" {
+			t.Fatalf("%s: kind %q, want invalid_buffer (%s)", path, we.Kind, we.Message)
+		}
+	}
 }

@@ -4,18 +4,15 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"github.com/crestlab/crest/internal/batch"
-	"github.com/crestlab/crest/internal/core"
 	"github.com/crestlab/crest/internal/crerr"
 	"github.com/crestlab/crest/internal/registry"
 )
 
 // registry.go is the multi-tenant serving surface: tenant extraction and
 // per-tenant admission quotas, request routing to model lineages (with
-// the registry's canary split), the feedback bridge into the canary
-// comparison, and the /v1/models admin endpoints.
+// the registry's canary split), and the /v1/models admin endpoints.
 
 // TenantHeader names the requesting tenant; requests without it are
 // billed to the default quota bucket.
@@ -69,10 +66,7 @@ func (s *Server) checkQuota(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	}
 	s.quotaRejected.Add(1)
-	secs := int(wait / time.Second)
-	if wait%time.Second != 0 || secs == 0 {
-		secs++ // Retry-After is integral seconds; round up
-	}
+	secs := retryAfterSecs(wait)
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	if tenant == "" {
 		tenant = "(default)"
@@ -114,38 +108,6 @@ func (s *Server) currentEngine() *batch.Engine {
 	return s.engine
 }
 
-// registryFeedback routes one ground-truth observation through the
-// registry: the lineage's active model absorbs it for online conformal
-// recalibration, and an in-flight canary scores it for the comparison.
-func (s *Server) registryFeedback(w http.ResponseWriter, r *http.Request, req *FeedbackRequest) {
-	res, err := s.cfg.Registry.ObserveFeedback(lineageOf(r), req.Features, req.ActualCR)
-	if err != nil {
-		s.failRequest(w, err)
-		return
-	}
-	s.sm.observations.Inc()
-	resp := FeedbackResponse{Decision: res.Decision}
-	if st := res.Online; st != nil {
-		resp.Coverage = st.Coverage
-		resp.Target = st.Target
-		resp.Radius = st.Radius
-		resp.Recalibrated = res.Recalibrated
-		resp.Recalibrations = st.Recalibrations
-		resp.Windowed = st.Windowed
-		if res.Recalibrated {
-			s.sm.recals.Inc()
-			s.sm.driftEvents.Inc()
-		}
-	}
-	if res.Decision != "" {
-		s.cfg.Logger.Info("canary decision",
-			"lineage", res.Lineage, "decision", res.Decision, "active", res.ActiveSeq)
-	}
-	s.served.Add(1)
-	s.m.served.Inc()
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
 // ---------------------------------------------------------------------------
 // /v1/models admin endpoints (registry mode only)
 
@@ -178,7 +140,7 @@ func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleModelPromote(w http.ResponseWriter, r *http.Request) {
 	var req PromoteRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if _, err := s.decodeBody(w, r, &req); err != nil {
 		s.failRequest(w, err)
 		return
 	}
@@ -207,15 +169,4 @@ func (s *Server) registryBlock() []registry.LineageInfo {
 		return nil
 	}
 	return s.cfg.Registry.InfoAll()
-}
-
-// estimatorFor resolves the estimator the streaming path serves with,
-// honoring lineage routing (the stream path serves whole fields, so it
-// participates in the canary split like any other request).
-func (s *Server) estimatorFor(w http.ResponseWriter, r *http.Request) (*core.Estimator, error) {
-	eng, err := s.engineFor(w, r)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Estimator(), nil
 }

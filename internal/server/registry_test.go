@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/crestlab/crest/internal/conformal"
 	"github.com/crestlab/crest/internal/core"
 	"github.com/crestlab/crest/internal/obs"
 	"github.com/crestlab/crest/internal/predictors"
@@ -285,6 +286,41 @@ func TestCanaryRollbackOverHTTP(t *testing.T) {
 		if resp.Header.Get(ModelVersionHeader) == badSeq || resp.Header.Get(CanaryHeader) != "" {
 			t.Fatalf("request %d served by rolled-back v%s", i, badSeq)
 		}
+	}
+}
+
+// TestRegistryFeedbackMovesConformalGauges: feedback routed to a lineage
+// whose model recalibrates online reports the tracker on the
+// conformal_coverage_bp and conformal_radius_micro gauges, exactly as
+// single-model feedback does.
+func TestRegistryFeedbackMovesConformalGauges(t *testing.T) {
+	reg, ts := newRegistryServer(t, nil, nil)
+	eng, err := reg.ActiveEngine("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := eng.Estimator()
+	est.EnableOnlineRecalibration(conformal.OnlineConfig{Window: 32, Band: 0.02, MinObserve: 16, Cooldown: 16})
+	f := []float64{0.3, -0.1, 0.2, 0.5, -0.4}
+	e, err := est.Estimate(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		// The point estimate lies inside its own interval: a hit.
+		resp := postHdr(t, ts.ts.URL+"/v1/feedback", feedbackBody(t, f, e.CR), nil)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("feedback %d: status %d", i, resp.StatusCode)
+		}
+	}
+	st, _ := est.OnlineStats()
+	gauges := ts.srv.cfg.Obs.Snapshot().Gauges
+	if got, want := gauges["conformal_coverage_bp"], int64(st.Coverage*1e4); got != want || want != 1e4 {
+		t.Errorf("conformal_coverage_bp = %d, want %d (coverage %g)", got, want, st.Coverage)
+	}
+	if got, want := gauges["conformal_radius_micro"], int64(st.Radius*1e6); got != want || want == 0 {
+		t.Errorf("conformal_radius_micro = %d, want %d", got, want)
 	}
 }
 

@@ -40,6 +40,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,6 +58,7 @@ import (
 	"github.com/crestlab/crest/internal/batch"
 	"github.com/crestlab/crest/internal/capacity"
 	"github.com/crestlab/crest/internal/cluster"
+	"github.com/crestlab/crest/internal/core"
 	"github.com/crestlab/crest/internal/crerr"
 	"github.com/crestlab/crest/internal/grid"
 	"github.com/crestlab/crest/internal/obs"
@@ -83,23 +85,14 @@ type Config struct {
 	// (default 1s).
 	RetryAfter time.Duration
 
-	// MaxBatch caps the request count of one /v1/batch call
-	// (default 1024). MaxBodyBytes caps a request body (default 64 MiB).
-	MaxBatch     int
+	// MaxBodyBytes caps a request body, JSON or CRBS stream (default
+	// 64 MiB).
 	MaxBodyBytes int64
-
-	// StreamLimits bounds the shape a chunked-ingest stream may declare
-	// (zero-value fields select grid.DefaultStreamLimits). The byte cap
-	// is MaxBodyBytes, shared with the JSON path.
-	StreamLimits grid.StreamLimits
 
 	// Middleware, when set, wraps the route handlers inside the panic
 	// recovery layer — the seam the chaos harness injects slow, failing
 	// and panicking handlers through.
 	Middleware func(http.Handler) http.Handler
-
-	// Logf receives operational log lines; nil discards them.
-	Logf func(format string, args ...any)
 
 	// Obs is the metrics registry the server records into and exports at
 	// GET /metrics (default: the process-wide obs.Default()). Tests pass
@@ -110,8 +103,8 @@ type Config struct {
 	// logged with its request ID (default 1s; negative disables).
 	SlowRequest time.Duration
 
-	// Logger receives structured slow-request and drain log lines; nil
-	// discards them.
+	// Logger receives the server's structured log lines; nil discards
+	// them.
 	Logger *slog.Logger
 
 	// EnablePprof mounts the Go profiler under GET /debug/pprof/.
@@ -159,14 +152,8 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 1024
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	if c.Obs == nil {
 		c.Obs = obs.Default()
@@ -255,7 +242,7 @@ type serverMetrics struct {
 
 // endpointLabels are the route labels carrying their own latency series;
 // anything else records under "other".
-var endpointLabels = []string{"estimate", "batch", "feedback", "healthz", "readyz", "statsz", "metrics", "models", "other"}
+var endpointLabels = []string{"estimate", "stream", "batch", "feedback", "healthz", "readyz", "statsz", "metrics", "models", "other"}
 
 func newServerMetrics(r *obs.Registry) serverMetrics {
 	m := serverMetrics{
@@ -277,10 +264,15 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 	return m
 }
 
-// endpointLabel maps a request path to its latency-series label.
-func endpointLabel(path string) string {
-	switch path {
+// endpointLabel maps a request to its latency-series label. A CRBS
+// stream posted to /v1/estimate is "stream": its multi-slice latency
+// must not blur the JSON estimate series.
+func endpointLabel(r *http.Request) string {
+	switch path := r.URL.Path; path {
 	case "/v1/estimate":
+		if isStreamRequest(r) {
+			return "stream"
+		}
 		return "estimate"
 	case "/v1/batch":
 		return "batch"
@@ -536,7 +528,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		next.ServeHTTP(rec, r)
 		dur := time.Since(start)
 
-		s.m.latency[endpointLabel(r.URL.Path)].Observe(dur.Seconds())
+		s.m.latency[endpointLabel(r)].Observe(dur.Seconds())
 		if s.cfg.SlowRequest > 0 && dur >= s.cfg.SlowRequest {
 			s.cfg.Logger.Warn("slow request",
 				"rid", rid,
@@ -558,7 +550,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 				s.panics.Add(1)
 				s.m.panics.Inc()
 				err := crerr.Recovered(v, crerr.ErrInvalidBuffer)
-				s.cfg.Logf("server: panic on %s %s: %v", r.Method, r.URL.Path, v)
+				s.cfg.Logger.Error("recovered panic", "method", r.Method, "path", r.URL.Path, "panic", v)
 				s.writeError(w, http.StatusInternalServerError, "panic", err)
 			}
 		}()
@@ -645,52 +637,36 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var req EstimateRequest
+		raw, err := s.decodeBody(w, r, &req)
+		if err != nil {
+			s.failRequest(w, err)
+			return
+		}
 		degraded := false
 		if s.clustered() {
-			// Clustered path: read raw bytes once so the same payload can
-			// be decoded for routing and forwarded verbatim.
-			raw, err := s.readBodyBytes(w, r)
-			if err != nil {
-				s.failRequest(w, err)
-				return
-			}
-			if err := strictDecode(raw, &req); err != nil {
-				s.failRequest(w, err)
-				return
-			}
 			var handled bool
-			handled, degraded = s.routeEstimate(ctx, w, r, &req, raw)
-			if handled {
+			if handled, degraded = s.routeEstimate(ctx, w, r, &req, raw); handled {
 				return
 			}
-		} else if err := s.decodeBody(w, r, &req); err != nil {
-			s.failRequest(w, err)
-			return
 		}
-		buf, err := req.buffer()
+		ests, errs, err := estimate(ctx, engine, []EstimateRequest{req}, []int{0})
+		if err == nil {
+			err = errs[0]
+		}
 		if err != nil {
 			s.failRequest(w, err)
 			return
 		}
-		ests, err := engine.EstimateAllContext(ctx, []batch.Request{{Buf: buf, Eps: req.Eps}})
-		if err != nil {
-			var agg *crerr.AggregateError
-			if errors.As(err, &agg) {
-				err = agg.ByIndex(0)
-			}
-			s.failRequest(w, err)
-			return
-		}
-		s.served.Add(1)
-		s.m.served.Inc()
 		if s.clustered() {
 			w.Header().Set(cluster.ServedByHeader, s.cfg.Cluster.Self())
 		}
-		s.writeJSON(w, http.StatusOK, EstimateResponse{
-			CR: ests[0].CR, Lo: ests[0].Lo, Hi: ests[0].Hi, Degraded: degraded,
-		})
+		e := ests[0]
+		s.respond(w, EstimateResponse{CR: e.CR, Lo: e.Lo, Hi: e.Hi, Degraded: degraded})
 	})
 }
+
+// maxBatch caps the request count of one /v1/batch call.
+const maxBatch = 1024
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.withAdmission(w, r, func(ctx context.Context) {
@@ -700,7 +676,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var wire BatchWireRequest
-		if err := s.decodeBody(w, r, &wire); err != nil {
+		if _, err := s.decodeBody(w, r, &wire); err != nil {
 			s.failRequest(w, err)
 			return
 		}
@@ -708,72 +684,83 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.failRequest(w, fmt.Errorf("%w: empty batch", crerr.ErrInvalidBuffer))
 			return
 		}
-		if len(wire.Requests) > s.cfg.MaxBatch {
+		if len(wire.Requests) > maxBatch {
 			s.failRequest(w, fmt.Errorf("%w: batch of %d exceeds limit %d",
-				crerr.ErrInvalidBuffer, len(wire.Requests), s.cfg.MaxBatch))
+				crerr.ErrInvalidBuffer, len(wire.Requests), maxBatch))
 			return
 		}
+		out := BatchWireResponse{Results: make([]BatchItem, len(wire.Requests))}
 		if s.clustered() {
-			s.runBatchClustered(ctx, w, r, &wire)
-			return
-		}
-		reqs := make([]batch.Request, len(wire.Requests))
-		buildErrs := make([]error, len(wire.Requests))
-		for i := range wire.Requests {
-			buf, err := wire.Requests[i].buffer()
+			s.runBatchClustered(ctx, r, &wire, out.Results)
+			w.Header().Set(cluster.ServedByHeader, s.cfg.Cluster.Self())
+		} else {
+			idx := allIndices(len(wire.Requests))
+			ests, errs, err := estimate(ctx, engine, wire.Requests, idx)
+			// A whole-batch cancellation is a request-level failure.
 			if err != nil {
-				buildErrs[i] = err
+				s.failRequest(w, err)
+				return
+			}
+			s.fillBatch(out.Results, idx, ests, errs, false)
+		}
+		s.respond(w, out)
+	})
+}
+
+// estimate runs wire[idx[j]] for every j on engine: structurally invalid
+// requests never reach the engine, valid ones run concurrently. errs[j]
+// is request idx[j]'s own failure (rejection or per-request engine
+// error); ests[j] is its estimate when errs[j] is nil. err reports a
+// whole-call failure (cancellation), which leaves the valid requests
+// without an estimate or an error of their own.
+func estimate(ctx context.Context, engine *batch.Engine, wire []EstimateRequest, idx []int) (ests []core.Estimate, errs []error, err error) {
+	ests = make([]core.Estimate, len(idx))
+	errs = make([]error, len(idx))
+	reqs := make([]batch.Request, 0, len(idx))
+	valid := make([]int, 0, len(idx))
+	for j, i := range idx {
+		buf, berr := wire[i].buffer()
+		if berr != nil {
+			errs[j] = berr
+			continue
+		}
+		reqs = append(reqs, batch.Request{Buf: buf, Eps: wire[i].Eps})
+		valid = append(valid, j)
+	}
+	if len(reqs) == 0 {
+		return ests, errs, nil
+	}
+	out, err := engine.EstimateAllContext(ctx, reqs)
+	var agg *crerr.AggregateError
+	if err != nil && !errors.As(err, &agg) {
+		return ests, errs, err
+	}
+	for v, j := range valid {
+		if agg != nil {
+			if perReq := agg.ByIndex(v); perReq != nil {
+				errs[j] = perReq
 				continue
 			}
-			reqs[i] = batch.Request{Buf: buf, Eps: wire.Requests[i].Eps}
 		}
-		// Only structurally valid requests reach the engine; invalid ones
-		// keep their slots and report their own typed errors.
-		valid := make([]batch.Request, 0, len(reqs))
-		validIdx := make([]int, 0, len(reqs))
-		for i, br := range reqs {
-			if buildErrs[i] == nil {
-				valid = append(valid, br)
-				validIdx = append(validIdx, i)
-			}
-		}
-		ests, err := engine.EstimateAllContext(ctx, valid)
-		// A whole-batch cancellation is a request-level failure.
-		if err != nil && errors.Is(err, crerr.ErrCanceled) {
-			s.failRequest(w, err)
-			return
-		}
-		var agg *crerr.AggregateError
-		errors.As(err, &agg)
+		ests[j] = out[v]
+	}
+	return ests, errs, nil
+}
 
-		out := BatchWireResponse{Results: make([]BatchItem, len(reqs))}
-		for vi, i := range validIdx {
-			if agg != nil {
-				if perReq := agg.ByIndex(vi); perReq != nil {
-					buildErrs[i] = perReq
-					continue
-				}
-			}
-			e := ests[vi]
-			out.Results[i] = BatchItem{Result: &EstimateResponse{CR: e.CR, Lo: e.Lo, Hi: e.Hi}}
+// fillBatch writes one estimate call's outcome into the batch slots idx,
+// counting each failed item like a failed request. degraded marks the
+// results served locally for an unreachable fleet owner.
+func (s *Server) fillBatch(results []BatchItem, idx []int, ests []core.Estimate, errs []error, degraded bool) {
+	for j, i := range idx {
+		if errs[j] != nil {
+			kind, status := classify(errs[j])
+			s.count(status)
+			results[i] = BatchItem{Error: &WireError{Kind: kind, Message: errs[j].Error()}}
+			continue
 		}
-		for i, berr := range buildErrs {
-			if berr != nil {
-				kind, status := classify(berr)
-				if status >= 500 {
-					s.serverErrors.Add(1)
-					s.m.serverErrors.Inc()
-				} else {
-					s.clientErrors.Add(1)
-					s.m.clientErrors.Inc()
-				}
-				out.Results[i] = BatchItem{Error: &WireError{Kind: kind, Message: berr.Error()}}
-			}
-		}
-		s.served.Add(1)
-		s.m.served.Inc()
-		s.writeJSON(w, http.StatusOK, out)
-	})
+		e := ests[j]
+		results[i] = BatchItem{Result: &EstimateResponse{CR: e.CR, Lo: e.Lo, Hi: e.Hi, Degraded: degraded}}
+	}
 }
 
 // withAdmission runs fn under the full admission pipeline: per-tenant
@@ -982,30 +969,32 @@ func classify(err error) (string, int) {
 	}
 }
 
-// decodeBody decodes a JSON request body under the size cap. Three
-// contract points, each with its own failure class:
+// decodeBody decodes a JSON request body under the size cap and returns
+// the bytes it read, which a fleet node forwards verbatim. Three contract
+// points, each with its own failure class:
 //
 //   - A body over MaxBodyBytes is ErrBodyTooLarge (413): the client must
 //     shrink the payload, not fix its syntax — so the size-cap error is
-//     never folded into the generic 400.
+//     never folded into the generic 400. A syntax error the decoder meets
+//     before the cap is still a 400.
 //   - Unknown fields are rejected: a misspelled field would otherwise
 //     silently zero a parameter (an eps typo becoming eps=0).
 //   - Trailing data after the JSON document is rejected: a concatenated
 //     second document would otherwise be silently ignored.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) ([]byte, error) {
+	var raw bytes.Buffer
+	dec := json.NewDecoder(io.TeeReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		return classifyBodyError(err)
+		return nil, classifyBodyError(err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		if err == nil {
 			err = errors.New("trailing data after JSON document")
 		}
-		return classifyBodyError(err)
+		return nil, classifyBodyError(err)
 	}
-	return nil
+	return raw.Bytes(), nil
 }
 
 // classifyBodyError types a body-read failure: the MaxBytesReader cap
@@ -1018,23 +1007,38 @@ func classifyBodyError(err error) error {
 	return fmt.Errorf("%w: body: %v", crerr.ErrInvalidBuffer, err)
 }
 
-// failRequest writes a classified error response and bumps the matching
-// counters: client-caused failures (4xx) and server-caused failures
-// (5xx) are tracked separately so malformed-input load does not inflate
-// the server failure rate.
+// count classifies one answered request by its status: 2xx is served,
+// 4xx a client-caused failure and 5xx a server-caused one — kept apart so
+// malformed-input load does not inflate the server failure rate.
+func (s *Server) count(status int) {
+	switch {
+	case status >= 500:
+		s.serverErrors.Add(1)
+		s.m.serverErrors.Inc()
+	case status >= 400:
+		s.clientErrors.Add(1)
+		s.m.clientErrors.Inc()
+	case status >= 200 && status < 300:
+		s.served.Add(1)
+		s.m.served.Inc()
+	}
+}
+
+// respond writes a 200 answer and counts the request served.
+func (s *Server) respond(w http.ResponseWriter, body any) {
+	s.count(http.StatusOK)
+	s.writeJSON(w, http.StatusOK, body)
+}
+
+// failRequest writes a classified error response and counts it; a 504
+// also counts as a timeout.
 func (s *Server) failRequest(w http.ResponseWriter, err error) {
 	kind, status := classify(err)
 	if status == http.StatusGatewayTimeout {
 		s.timeouts.Add(1)
 		s.m.timeouts.Inc()
 	}
-	if status >= 500 {
-		s.serverErrors.Add(1)
-		s.m.serverErrors.Inc()
-	} else {
-		s.clientErrors.Add(1)
-		s.m.clientErrors.Inc()
-	}
+	s.count(status)
 	if status == http.StatusServiceUnavailable {
 		s.setRetryAfter(w)
 	}
@@ -1049,11 +1053,17 @@ func (s *Server) writeShed(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) setRetryAfter(w http.ResponseWriter) {
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if s.cfg.RetryAfter%time.Second != 0 || secs == 0 {
-		secs++ // Retry-After is integral seconds; round up
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(s.cfg.RetryAfter)))
+}
+
+// retryAfterSecs renders a backoff as Retry-After's integral seconds,
+// rounded up and never 0.
+func retryAfterSecs(d time.Duration) int {
+	secs := int(d / time.Second)
+	if d%time.Second != 0 || secs == 0 {
+		secs++
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	return secs
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, kind string, err error) {
@@ -1064,6 +1074,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(body); err != nil {
-		s.cfg.Logf("server: write response: %v", err)
+		s.cfg.Logger.Warn("write response", "err", err)
 	}
 }

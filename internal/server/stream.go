@@ -36,26 +36,24 @@ const StreamContentType = "application/x-crest-stream"
 // streamMetrics are the streaming/recalibration series, resolved lazily
 // so non-streaming deployments pay nothing.
 type streamMetrics struct {
-	slices        *obs.Counter
-	streamErrs    *obs.Counter
-	observations  *obs.Counter
-	recals        *obs.Counter
-	coverageBp    *obs.Gauge // rolling coverage in basis points (1e-4)
-	radiusMicro   *obs.Gauge // interval radius in micro log-CR units
-	driftEvents   *obs.Counter
-	streamLatency *obs.Histogram
+	slices       *obs.Counter
+	streamErrs   *obs.Counter
+	observations *obs.Counter
+	recals       *obs.Counter
+	coverageBp   *obs.Gauge // rolling coverage in basis points (1e-4)
+	radiusMicro  *obs.Gauge // interval radius in micro log-CR units
+	driftEvents  *obs.Counter
 }
 
 func newStreamMetrics(r *obs.Registry) streamMetrics {
 	return streamMetrics{
-		slices:        r.Counter("stream_slices_total"),
-		streamErrs:    r.Counter("stream_errors_total"),
-		observations:  r.Counter("conformal_observations_total"),
-		recals:        r.Counter("conformal_recalibrations_total"),
-		coverageBp:    r.Gauge("conformal_coverage_bp"),
-		radiusMicro:   r.Gauge("conformal_radius_micro"),
-		driftEvents:   r.Counter("conformal_drift_events_total"),
-		streamLatency: r.Histogram("http_request_seconds_stream", nil),
+		slices:       r.Counter("stream_slices_total"),
+		streamErrs:   r.Counter("stream_errors_total"),
+		observations: r.Counter("conformal_observations_total"),
+		recals:       r.Counter("conformal_recalibrations_total"),
+		coverageBp:   r.Gauge("conformal_coverage_bp"),
+		radiusMicro:  r.Gauge("conformal_radius_micro"),
+		driftEvents:  r.Counter("conformal_drift_events_total"),
 	}
 }
 
@@ -85,14 +83,15 @@ func streamBodyError(err error) error {
 }
 
 // parseEps reads the ?eps= query parameter: a single error bound applied
-// to every slice of the stream.
+// to every slice of the stream. It must be finite and positive; the
+// negated comparison also rejects the "NaN" ParseFloat accepts.
 func parseEps(r *http.Request) (float64, error) {
 	raw := r.URL.Query().Get("eps")
 	if raw == "" {
 		return 0, fmt.Errorf("%w: streaming ingest requires ?eps=", crerr.ErrInvalidBuffer)
 	}
 	eps, err := strconv.ParseFloat(raw, 64)
-	if err != nil || eps <= 0 || math.IsInf(eps, 0) {
+	if err != nil || !(eps > 0) || math.IsInf(eps, 0) {
 		return 0, fmt.Errorf("%w: eps %q", crerr.ErrInvalidBuffer, raw)
 	}
 	return eps, nil
@@ -119,13 +118,13 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 			s.failRequest(w, err)
 			return
 		}
-		est, err := s.estimatorFor(w, r)
+		engine, err := s.engineFor(w, r)
 		if err != nil {
 			s.failRequest(w, err)
 			return
 		}
-		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		cr, err := grid.NewChunkReader(body, s.cfg.StreamLimits)
+		est := engine.Estimator()
+		cr, err := grid.NewChunkReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 		if err != nil {
 			s.sm.streamErrs.Inc()
 			s.failRequest(w, streamBodyError(err))
@@ -153,9 +152,7 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 			s.failRequest(w, fmt.Errorf("%w: stream carried no slices", crerr.ErrInvalidBuffer))
 			return
 		}
-		s.served.Add(1)
-		s.m.served.Inc()
-		s.writeJSON(w, http.StatusOK, out)
+		s.respond(w, out)
 	})
 }
 
@@ -179,52 +176,61 @@ type FeedbackResponse struct {
 	Decision       string  `json:"decision,omitempty"`
 }
 
-// handleFeedback feeds one ground-truth observation into the online
-// conformal tracker. 409 when the deployment has recalibration disabled.
+// handleFeedback feeds one ground-truth observation to the model that
+// serves its lineage. A registry scores it against the active model (and
+// an in-flight canary), recalibrating when the model tracks coverage; a
+// single model without online recalibration answers 409.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.withAdmission(w, r, func(ctx context.Context) {
 		var req FeedbackRequest
-		if err := s.decodeBody(w, r, &req); err != nil {
+		if _, err := s.decodeBody(w, r, &req); err != nil {
 			s.failRequest(w, err)
 			return
 		}
-		if s.cfg.Registry != nil {
-			s.registryFeedback(w, r, &req)
-			return
-		}
-		st, recal, err := s.engine.Estimator().ObserveActual(req.Features, req.ActualCR)
-		if err != nil {
-			if _, ok := s.engine.Estimator().OnlineStats(); !ok {
-				s.clientErrors.Add(1)
-				s.m.clientErrors.Inc()
-				s.writeError(w, http.StatusConflict, "recalibration_disabled", err)
+		var resp FeedbackResponse
+		var st *conformal.OnlineStats
+		if reg := s.cfg.Registry; reg != nil {
+			res, err := reg.ObserveFeedback(lineageOf(r), req.Features, req.ActualCR)
+			if err != nil {
+				s.failRequest(w, err)
 				return
 			}
-			s.failRequest(w, err)
-			return
+			st, resp.Recalibrated, resp.Decision = res.Online, res.Recalibrated, res.Decision
+			if res.Decision != "" {
+				s.cfg.Logger.Info("canary decision",
+					"lineage", res.Lineage, "decision", res.Decision, "active", res.ActiveSeq)
+			}
+		} else {
+			est := s.engine.Estimator()
+			ost, recal, err := est.ObserveActual(req.Features, req.ActualCR)
+			if err != nil {
+				if _, ok := est.OnlineStats(); !ok {
+					s.count(http.StatusConflict)
+					s.writeError(w, http.StatusConflict, "recalibration_disabled", err)
+					return
+				}
+				s.failRequest(w, err)
+				return
+			}
+			st, resp.Recalibrated = &ost, recal
 		}
 		s.sm.observations.Inc()
-		if recal {
-			s.sm.recals.Inc()
-			s.sm.driftEvents.Inc()
-			s.cfg.Logger.Info("conformal recalibration",
-				"coverage", st.Coverage, "target", st.Target, "radius", st.Radius,
-				"recalibrations", st.Recalibrations)
+		if st != nil {
+			resp.Coverage, resp.Target, resp.Radius = st.Coverage, st.Target, st.Radius
+			resp.Recalibrations, resp.Windowed = st.Recalibrations, st.Windowed
+			if resp.Recalibrated {
+				s.sm.recals.Inc()
+				s.sm.driftEvents.Inc()
+				s.cfg.Logger.Info("conformal recalibration",
+					"coverage", st.Coverage, "target", st.Target, "radius", st.Radius,
+					"recalibrations", st.Recalibrations)
+			}
+			if !math.IsNaN(st.Coverage) {
+				s.sm.coverageBp.Set(int64(st.Coverage * 1e4))
+			}
+			s.sm.radiusMicro.Set(int64(st.Radius * 1e6))
 		}
-		if !math.IsNaN(st.Coverage) {
-			s.sm.coverageBp.Set(int64(st.Coverage * 1e4))
-		}
-		s.sm.radiusMicro.Set(int64(st.Radius * 1e6))
-		s.served.Add(1)
-		s.m.served.Inc()
-		s.writeJSON(w, http.StatusOK, FeedbackResponse{
-			Coverage:       st.Coverage,
-			Target:         st.Target,
-			Radius:         st.Radius,
-			Recalibrated:   recal,
-			Recalibrations: st.Recalibrations,
-			Windowed:       st.Windowed,
-		})
+		s.respond(w, resp)
 	})
 }
 

@@ -90,15 +90,48 @@ func TestStreamEstimateEndpoint(t *testing.T) {
 	}
 }
 
+// TestStreamEstimateRequiresEps: a missing or unusable ?eps= is rejected
+// up front as invalid_buffer naming the bound, before any slice is read.
+// "NaN" parses as a float, so it needs its own rejection.
 func TestStreamEstimateRequiresEps(t *testing.T) {
 	env := newTestServer(t, Config{}, false)
 	buf, err := grid.FromSlice(16, 16, testBuffer(16, 16, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postStream(t, env.ts.URL+"/v1/estimate", encodeTestStream(t, []*grid.Buffer{buf}, 4))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("missing eps: status %d: %s", resp.StatusCode, body)
+	stream := encodeTestStream(t, []*grid.Buffer{buf}, 4)
+	for query, msg := range map[string]string{
+		"":         "crest: invalid buffer: streaming ingest requires ?eps=",
+		"?eps=NaN": `crest: invalid buffer: eps "NaN"`,
+		"?eps=-1":  `crest: invalid buffer: eps "-1"`,
+		"?eps=Inf": `crest: invalid buffer: eps "Inf"`,
+	} {
+		resp, body := postStream(t, env.ts.URL+"/v1/estimate"+query, stream)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%q: status %d: %s", query, resp.StatusCode, body)
+		}
+		if we := wireErrorOf(t, body); we.Kind != "invalid_buffer" || we.Message != msg {
+			t.Errorf("%q: got %q %q, want invalid_buffer %q", query, we.Kind, we.Message, msg)
+		}
+	}
+}
+
+// TestStreamLatencySeries: a CRBS stream posted to /v1/estimate records
+// on http_request_seconds_stream, not on the JSON estimate series its
+// multi-slice latency would otherwise inflate.
+func TestStreamLatencySeries(t *testing.T) {
+	env, reg := newObsServer(t, Config{})
+	buf, err := grid.FromSlice(24, 24, testBuffer(24, 24, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postStream(t, env.ts.URL+"/v1/estimate?eps=0.001", encodeTestStream(t, []*grid.Buffer{buf, buf}, 8))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	waitFor(t, func() bool { return reg.Snapshot().Histograms["http_request_seconds_stream"].Count == 1 })
+	if n := reg.Snapshot().Histograms["http_request_seconds_estimate"].Count; n != 0 {
+		t.Fatalf("stream recorded %d JSON estimate latencies, want 0", n)
 	}
 }
 

@@ -1,10 +1,11 @@
 #!/bin/sh
 # check-metrics.sh — end-to-end observability gate: trains a small model,
-# serves it, drives one estimate through the HTTP API, then runs
-# `crest metricscheck` against GET /metrics. Fails when the endpoint is
-# unreachable, returns malformed JSON, or is missing any expected series
-# (per-endpoint latency histograms, per-predictor timings, cache
-# counters, occupancy gauges, snapshot-load latency).
+# serves it, drives one estimate and one small CRBS stream through the
+# HTTP API, then runs `crest metricscheck` against GET /metrics. Fails
+# when the endpoint is unreachable, returns malformed JSON, or is missing
+# any expected series (per-endpoint latency histograms, the stream one
+# included, per-predictor timings, cache counters, occupancy gauges,
+# snapshot-load latency).
 #
 # The registry phase re-serves the same snapshot through a model registry
 # (`serve -registry`) and verifies the lifecycle series on top
@@ -53,6 +54,12 @@ wait_addr() {
     done
 }
 
+# post_stream <url>: one 2-slice CRBS stream, so every phase populates the
+# stream latency series.
+post_stream() {
+    "$WORK/crest" stream gen -nz 2 -ny 64 -nx 64 | "$WORK/crest" stream post -url "$1" -file -
+}
+
 stop_serve() {
     kill "$SERVE_PID" 2>/dev/null || true
     wait "$SERVE_PID" 2>/dev/null || true
@@ -68,6 +75,7 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "single" ]; then
 
     # One real estimate populates the predictor, cache and endpoint series.
     "$WORK/crest" client -url "$URL" -dataset hurricane -nz 12 -ny 64 -nx 64 -step 3
+    post_stream "$URL"
 
     "$WORK/crest" metricscheck -url "$URL"
     stop_serve
@@ -90,6 +98,7 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "registry" ]; then
     # `crest models list` proves the admin surface is up.
     "$WORK/crest" client -url "$URL" -dataset hurricane -nz 12 -ny 64 -nx 64 -step 3
     "$WORK/crest" models list -url "$URL"
+    post_stream "$URL"
 
     "$WORK/crest" metricscheck -url "$URL" -registry
     stop_serve
@@ -108,6 +117,7 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "capacity" ]; then
     # served-counter deltas with inflight levels.
     "$WORK/crest" client -url "$URL" -dataset hurricane -nz 12 -ny 64 -nx 64 -step 3
     "$WORK/crest" client -url "$URL" -dataset hurricane -nz 12 -ny 64 -nx 64 -step 2
+    post_stream "$URL"
     sleep 0.2
 
     "$WORK/crest" metricscheck -url "$URL" -capacity
