@@ -92,6 +92,10 @@ var capacityCounters = []struct {
 	{"capacity_samples_total", true},
 }
 
+// requiredCounters must exist on every server; those marked nonzero must
+// have fired. The dataset-hit counter is among them because the gate
+// drives a two-probe ε search: its second probe sends the same buffer at
+// another bound, which must reuse the first probe's dataset features.
 var requiredCounters = []struct {
 	name    string
 	nonzero bool
@@ -100,10 +104,11 @@ var requiredCounters = []struct {
 	{"server_served_total", true},
 	{"featcache_dataset_misses_total", true},
 	{"featcache_eb_misses_total", true},
-	{"featcache_dataset_hits_total", false},
+	{"featcache_dataset_hits_total", true},
 	{"featcache_eb_hits_total", false},
 	{"featcache_dedup_waits_total", false},
 	{"featcache_failures_total", false},
+	{"featcache_evictions_total", false},
 }
 
 // cmdMetricsCheck fetches GET /metrics from a running server and fails

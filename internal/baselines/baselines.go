@@ -69,9 +69,9 @@ func NewProposedShared(cfg core.Config, cache *FeatureCache) *Proposed {
 }
 
 // FeatureCache is a shareable, race-safe cache of predictor features keyed
-// by buffer identity and error bound (a thin wrapper over the sharded
-// singleflight cache of internal/featcache). One FeatureCache may be
-// shared by any number of methods and goroutines.
+// by buffer content and error bound (a thin wrapper over the sharded,
+// byte-bounded singleflight cache of internal/featcache). One
+// FeatureCache may be shared by any number of methods and goroutines.
 type FeatureCache struct {
 	inner *featcache.Cache
 }

@@ -7,8 +7,8 @@
 //
 // Every request's features come from a shared featcache.Cache, so a batch
 // touching the same buffer at several bounds (or several batches touching
-// the same buffers) computes each buffer's dataset predictors exactly
-// once. Results are written by request index, which makes the engine's
+// the same content) computes each buffer's dataset predictors once while
+// they stay within the cache's byte budget. Results are written by request index, which makes the engine's
 // output bit-identical to the serial Estimate path for any worker count
 // and any request order (given a deterministic predictor configuration).
 package batch

@@ -79,16 +79,15 @@ func TestHammerSharedCache(t *testing.T) {
 	epses := []float64{1e-2, 1e-3, 1e-4}
 
 	// Reference values from a private serial cache.
-	want := make(map[*grid.Buffer]map[float64][]float64)
+	want := make([][][]float64, len(bufs))
 	ref := New(serialCfg)
-	for _, b := range bufs {
-		want[b] = make(map[float64][]float64)
+	for bi, b := range bufs {
 		for _, eps := range epses {
 			v, err := ref.Features(b, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[b][eps] = v
+			want[bi] = append(want[bi], v)
 		}
 	}
 
@@ -103,14 +102,14 @@ func TestHammerSharedCache(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for it := 0; it < iters; it++ {
-				b := bufs[rng.Intn(len(bufs))]
-				eps := epses[rng.Intn(len(epses))]
+				bi, ei := rng.Intn(len(bufs)), rng.Intn(len(epses))
+				b, eps := bufs[bi], epses[ei]
 				v, err := c.Features(b, eps)
 				if err != nil {
 					errCh <- err
 					return
 				}
-				w := want[b][eps]
+				w := want[bi][ei]
 				for i := range w {
 					if v[i] != w[i] {
 						t.Errorf("goroutine %d: feature %d of %v@%g: %g != %g", g, i, b.Step, eps, v[i], w[i])

@@ -12,22 +12,19 @@ import (
 	"github.com/crestlab/crest/internal/predictors"
 )
 
-// flakyDataset fails (or panics) for the first failN calls per buffer,
-// then succeeds, modelling a transient fault on the feature path.
+// flakyDataset fails (or panics) for its first failN calls, then
+// succeeds, modelling a transient fault on the feature path.
 type flakyDataset struct {
 	mu    sync.Mutex
-	calls map[*grid.Buffer]int
+	calls int
 	failN int
 	mode  string // "error" or "panic"
 }
 
 func (f *flakyDataset) compute(buf *grid.Buffer, cfg predictors.Config) (predictors.DatasetFeatures, error) {
 	f.mu.Lock()
-	if f.calls == nil {
-		f.calls = make(map[*grid.Buffer]int)
-	}
-	f.calls[buf]++
-	n := f.calls[buf]
+	f.calls++
+	n := f.calls
 	f.mu.Unlock()
 	if n <= f.failN {
 		if f.mode == "panic" {

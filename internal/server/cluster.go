@@ -40,9 +40,11 @@ func forwardDepth(r *http.Request) int {
 // routingKey derives the consistent-hash key of one estimation ask. Named
 // buffers route by identity (dataset/field/step) so repeated estimates of
 // the same field land on the same replica set and its feature cache;
-// anonymous buffers route by a cheap content fingerprint (shape, bound,
-// and a bounded sample of the data) so identical payloads still converge
-// on one owner without hashing arbitrarily large buffers.
+// anonymous buffers route by a cheap content fingerprint (shape and a
+// bounded sample of the data) so identical payloads still converge on one
+// owner without hashing arbitrarily large buffers. Neither key includes
+// the error bound: every probe of an ε search lands on the owner whose
+// cache already holds the buffer's dataset features.
 func routingKey(req *EstimateRequest) string {
 	if req.Dataset != "" || req.Field != "" {
 		return fmt.Sprintf("%s/%s/%d", req.Dataset, req.Field, req.Step)
@@ -56,7 +58,6 @@ func routingKey(req *EstimateRequest) string {
 	put(uint64(req.Rows))
 	put(uint64(req.Cols))
 	put(uint64(len(req.Data)))
-	put(math.Float64bits(req.Eps))
 	const sample = 64
 	stride := 1
 	if len(req.Data) > sample {

@@ -526,3 +526,31 @@ func TestClusterSyntaxErrorBeforeCapIs400(t *testing.T) {
 		}
 	}
 }
+
+// TestRoutingKeyIgnoresEps: the probes of one ε search on an anonymous
+// buffer differ only in the bound, so they must share one owner — the
+// one whose feature cache holds the buffer's dataset features. Content
+// and shape still separate keys.
+func TestRoutingKeyIgnoresEps(t *testing.T) {
+	data := testBuffer(24, 24, 5)
+	req := EstimateRequest{Rows: 24, Cols: 24, Data: data, Eps: 1e-3}
+	key := routingKey(&req)
+	for _, eps := range []float64{1e-1, 1e-2, 1e-4, 0} {
+		probe := req
+		probe.Eps = eps
+		if got := routingKey(&probe); got != key {
+			t.Errorf("eps %g routes to %s, eps 1e-3 to %s", eps, got, key)
+		}
+	}
+	other := req
+	other.Rows, other.Cols = 12, 48
+	if routingKey(&other) == key {
+		t.Error("a reshaped buffer shares the routing key")
+	}
+	changed := req
+	changed.Data = append([]float64(nil), data...)
+	changed.Data[0]++
+	if routingKey(&changed) == key {
+		t.Error("changed data shares the routing key")
+	}
+}

@@ -222,8 +222,9 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("estimate %d: status %d: %s", i, resp.StatusCode, out)
 		}
 	}
-	// The cache keys on buffer identity, so wire requests always miss;
-	// hits need a reused *grid.Buffer — drive the shared cache directly.
+	// The cache keys on buffer content, so the repeated wire request
+	// hits; a buffer looked up directly on the shared cache twice adds
+	// one more miss and one more hit.
 	buf, err := grid.FromSlice(16, 16, testBuffer(16, 16, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -263,10 +264,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if payload.Counters["server_served_total"] != 2 {
 		t.Fatalf("server_served_total = %d, want 2", payload.Counters["server_served_total"])
 	}
-	// 3 dataset misses (two wire buffers + the direct one), 1 dataset hit
-	// and 1 eb hit from the repeated direct lookup.
-	if payload.Counters["featcache_dataset_hits_total"] != 1 ||
-		payload.Counters["featcache_dataset_misses_total"] != 3 {
+	// 2 dataset misses (the wire buffer + the direct one) and 2 dataset
+	// hits (the repeated wire request + the repeated direct lookup).
+	if payload.Counters["featcache_dataset_hits_total"] != 2 ||
+		payload.Counters["featcache_dataset_misses_total"] != 2 {
 		t.Fatalf("featcache counters: %+v", payload.Counters)
 	}
 	if want := cache.Stats().HitRate(); payload.Derived.FeatcacheHitRate != want || want <= 0 || want >= 1 {
@@ -278,6 +279,28 @@ func TestMetricsEndpoint(t *testing.T) {
 		if h := payload.Histograms[name]; h.Count == 0 {
 			t.Fatalf("%s empty; have %v", name, keysOf(payload.Histograms))
 		}
+	}
+}
+
+// TestEpsSearchOverHTTPHitsAcrossRequests: the probes of an ε search send
+// one buffer at several bounds, each as its own request with its own
+// decoded *grid.Buffer. The dataset features are computed once and every
+// later probe hits; only the distortion is computed per bound.
+func TestEpsSearchOverHTTPHitsAcrossRequests(t *testing.T) {
+	env, _ := newObsServer(t, Config{})
+	data := testBuffer(24, 24, 3)
+	for _, eps := range []float64{1e-1, 1e-2, 1e-3, 1e-4} {
+		body := mustJSON(t, EstimateRequest{Rows: 24, Cols: 24, Data: data, Eps: eps})
+		if resp, out := postJSON(t, env.ts.URL+"/v1/estimate", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("eps %g: status %d: %s", eps, resp.StatusCode, out)
+		}
+	}
+	st := env.srv.engine.Cache().Stats()
+	if st.DatasetMisses != 1 || st.DatasetHits != 3 {
+		t.Fatalf("4-probe search: %d dataset misses and %d hits, want 1 and 3", st.DatasetMisses, st.DatasetHits)
+	}
+	if st.EBMisses != 4 || st.EBHits != 0 {
+		t.Fatalf("4-probe search: %d distortion misses and %d hits, want 4 and 0", st.EBMisses, st.EBHits)
 	}
 }
 

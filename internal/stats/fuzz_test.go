@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -13,8 +14,8 @@ import (
 func FuzzQuantizeBin(f *testing.F) {
 	f.Add(2.7, 0.5)
 	f.Add(-0.1, 0.5)
-	f.Add(1e30, 1e-30)   // positive overflow
-	f.Add(-1e30, 1e-30)  // negative overflow
+	f.Add(1e30, 1e-30)  // positive overflow
+	f.Add(-1e30, 1e-30) // negative overflow
 	f.Add(math.NaN(), 0.5)
 	f.Add(1.0, math.SmallestNonzeroFloat64) // tiny eps
 	f.Add(math.MaxFloat64, 1e-9)
@@ -50,6 +51,49 @@ func FuzzQuantizeBin(f *testing.F) {
 						x, got, bigger, gb, eps)
 				}
 			}
+		}
+	})
+}
+
+// FuzzQuantizedEntropy pits the pooled open-addressing bin counter
+// against the map reference over fuzzed values and bounds, bit for bit:
+// NaN values (bin 0), quotients saturated at ±MaxInt64, a single value,
+// and bounds so fine that every value lands in its own bin (the table's
+// growth path). cut splits the values into two segments, which must not
+// change the result either.
+func FuzzQuantizedEntropy(f *testing.F) {
+	seed := func(eps float64, cut uint16, xs ...float64) {
+		raw := make([]byte, 8*len(xs))
+		for i, v := range xs {
+			binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
+		}
+		f.Add(raw, eps, cut)
+	}
+	seed(0.5, 1, 2.7, -0.1, 2.7, 3.3)
+	seed(0.5, 0, math.NaN(), 1, math.NaN(), -1)
+	seed(1e-300, 1, 1e300, -1e300, 5, math.Inf(1), math.Inf(-1))
+	seed(1e-3, 0, 42)
+	fine := make([]float64, 300)
+	for i := range fine {
+		fine[i] = float64(i) * 1.000001
+	}
+	seed(1e-9, 150, fine...)
+	seed(0, 0, 1, 2)
+	f.Fuzz(func(t *testing.T, raw []byte, eps float64, cut uint16) {
+		xs := make([]float64, len(raw)/8)
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		want := mapQuantizedEntropy(xs, eps)
+		if got := QuantizedEntropy(xs, eps); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("QuantizedEntropy(%v, %g) = %v, map reference %v", xs, eps, got, want)
+		}
+		k := 0
+		if len(xs) > 0 {
+			k = int(cut) % (len(xs) + 1)
+		}
+		if got := QuantizedEntropySeg([][]float64{xs[:k], xs[k:]}, eps); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("QuantizedEntropySeg split at %d = %v, map reference %v", k, got, want)
 		}
 	})
 }

@@ -2,21 +2,21 @@ package stats
 
 import "math"
 
-// segments.go holds the segment-fed twins of the entropy estimators: the
-// same statistics computed over a virtual concatenation of slices, so the
-// streaming predictor pipeline — whose retained values live scattered
-// across vectorized blocks plus a crop remainder rather than in one
-// row-major buffer — can evaluate the error-bound-specific distortion
-// without reassembling the buffer.
+// segments.go holds the one implementation of each entropy estimator,
+// computed over a virtual concatenation of slices. The streaming
+// predictor pipeline — whose retained values live scattered across
+// vectorized blocks plus a crop remainder rather than in one row-major
+// buffer — feeds the segments directly, so it evaluates the
+// error-bound-specific distortion without reassembling the buffer;
+// HistogramEntropy and QuantizedEntropy are the one-segment case.
 //
 // Bit-identity contract: both estimators are functions of the value
 // *multiset* only. Min/max are order-independent; bin counts are integer
 // tallies; and the final entropy sums run in a canonical order (bin index
-// for the histogram, sorted counts for the quantized form — see Entropy).
-// HistogramEntropySeg and QuantizedEntropySeg therefore return results
-// bit-identical to HistogramEntropy/QuantizedEntropy over any
-// concatenation order of the same values, which the streaming
-// differential suite pins against the in-memory path.
+// for the histogram, ascending count for the quantized form — see
+// binCounter.entropy). Any concatenation order of the same values
+// therefore gives the same bits, which the streaming differential suite
+// pins against the in-memory path.
 //
 // Both estimators are generic over the stored element type: float32
 // segments are widened per element (exactly) and every accumulation,
@@ -57,7 +57,9 @@ func HistogramEntropySeg[F Real](segs [][]F, bins int) float64 {
 	if hi == lo {
 		return 0
 	}
-	counts := make([]int, bins)
+	bc := binPool.Get().(*binCounter)
+	defer bc.release()
+	counts := bc.cells(bins)
 	w := float64(bins) / (hi - lo)
 	for _, s := range segs {
 		for _, raw := range s {
@@ -89,11 +91,12 @@ func QuantizedEntropySeg[F Real](segs [][]F, eps float64) float64 {
 	if eps <= 0 || n == 0 {
 		return 0
 	}
-	counts := make(map[int64]int, 64)
+	bc := binPool.Get().(*binCounter)
+	defer bc.release()
 	for _, s := range segs {
 		for _, v := range s {
-			counts[QuantizeBin(float64(v), eps)]++
+			bc.add(QuantizeBin(float64(v), eps))
 		}
 	}
-	return Entropy(counts)
+	return bc.entropy(n)
 }

@@ -136,85 +136,20 @@ func QuantizeBin(x, eps float64) int64 {
 	return int64(q)
 }
 
-// Entropy returns the Shannon entropy in bits of a discrete distribution
-// given by counts. Zero counts contribute nothing. Summation runs in
-// sorted count order so the result is independent of map iteration order
-// (bit-for-bit reproducibility matters to the deterministic evaluation
-// protocol).
-func Entropy(counts map[int64]int) float64 {
-	var n int
-	cs := make([]int, 0, len(counts))
-	for _, c := range counts {
-		n += c
-		if c > 0 {
-			cs = append(cs, c)
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	sort.Ints(cs)
-	var h float64
-	fn := float64(n)
-	for _, c := range cs {
-		p := float64(c) / fn
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
 // QuantizedEntropy returns the Shannon entropy in bits of ⌊x/ε⌋ over xs,
-// the quantized entropy H(α(X)) of the generic distortion metric.
+// the quantized entropy H(α(X)) of the generic distortion metric. It is
+// the one-segment case of QuantizedEntropySeg.
 func QuantizedEntropy(xs []float64, eps float64) float64 {
-	if eps <= 0 || len(xs) == 0 {
-		return 0
-	}
-	counts := make(map[int64]int, 64)
-	for _, v := range xs {
-		counts[QuantizeBin(v, eps)]++
-	}
-	return Entropy(counts)
+	return QuantizedEntropySeg([][]float64{xs}, eps)
 }
 
 // HistogramEntropy estimates the entropy in bits of xs using an
 // equal-width histogram with bins cells spanning [min,max]. It is the
 // nonparametric empirical-distribution estimator used for H_b in the
-// generic distortion (§IV-A). Constant data has zero entropy.
+// generic distortion (§IV-A). Constant data has zero entropy. It is the
+// one-segment case of HistogramEntropySeg.
 func HistogramEntropy(xs []float64, bins int) float64 {
-	if len(xs) == 0 || bins <= 0 {
-		return 0
-	}
-	lo, hi := xs[0], xs[0]
-	for _, v := range xs[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi == lo {
-		return 0
-	}
-	counts := make([]int, bins)
-	w := float64(bins) / (hi - lo)
-	for _, v := range xs {
-		b := int((v - lo) * w)
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	}
-	var h float64
-	n := float64(len(xs))
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / n
-		h -= p * math.Log2(p)
-	}
-	return h
+	return HistogramEntropySeg([][]float64{xs}, bins)
 }
 
 // DifferentialEntropy estimates the differential entropy h(x) in bits by

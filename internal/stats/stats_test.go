@@ -139,13 +139,13 @@ func TestQuantizeBinSaturation(t *testing.T) {
 }
 
 func TestEntropyBasics(t *testing.T) {
-	if h := Entropy(map[int64]int{1: 5}); h != 0 {
+	if h := mapEntropy(map[int64]int{1: 5}); h != 0 {
 		t.Errorf("single symbol entropy = %g", h)
 	}
-	if h := Entropy(map[int64]int{1: 10, 2: 10}); !almost(h, 1, 1e-12) {
+	if h := mapEntropy(map[int64]int{1: 10, 2: 10}); !almost(h, 1, 1e-12) {
 		t.Errorf("uniform-2 entropy = %g", h)
 	}
-	if h := Entropy(map[int64]int{}); h != 0 {
+	if h := mapEntropy(map[int64]int{}); h != 0 {
 		t.Errorf("empty entropy = %g", h)
 	}
 }
@@ -159,7 +159,7 @@ func TestEntropyBounds(t *testing.T) {
 		for i := 0; i < n; i++ {
 			counts[int64(i)] = rng.Intn(100) + 1
 		}
-		h := Entropy(counts)
+		h := mapEntropy(counts)
 		return h >= 0 && h <= math.Log2(float64(n))+1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {

@@ -1,11 +1,13 @@
 #!/bin/sh
 # check-metrics.sh — end-to-end observability gate: trains a small model,
-# serves it, drives one estimate and one small CRBS stream through the
-# HTTP API, then runs `crest metricscheck` against GET /metrics. Fails
-# when the endpoint is unreachable, returns malformed JSON, or is missing
-# any expected series (per-endpoint latency histograms, the stream one
-# included, per-predictor timings, cache counters, occupancy gauges,
-# snapshot-load latency).
+# serves it, drives a two-probe ε search (one buffer at two bounds, so
+# the second request must hit the feature cache) and one small CRBS
+# stream through the HTTP API, then runs `crest metricscheck` against
+# GET /metrics. Fails when the endpoint is unreachable, returns malformed
+# JSON, or is missing any expected series (per-endpoint latency
+# histograms, the stream one included, per-predictor timings, cache
+# counters, occupancy gauges, snapshot-load latency), or when the live
+# server never served dataset features from its cache.
 #
 # The registry phase re-serves the same snapshot through a model registry
 # (`serve -registry`) and verifies the lifecycle series on top
@@ -73,8 +75,10 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "single" ]; then
     wait_addr "$WORK/addr"
     URL="http://$(cat "$WORK/addr")"
 
-    # One real estimate populates the predictor, cache and endpoint series.
+    # A two-probe ε search populates the predictor, cache and endpoint
+    # series; the second probe must hit the first one's dataset features.
     "$WORK/crest" client -url "$URL" -dataset hurricane -nz 12 -ny 64 -nx 64 -step 3
+    "$WORK/crest" client -url "$URL" -dataset hurricane -nz 12 -ny 64 -nx 64 -step 3 -eps 1e-2
     post_stream "$URL"
 
     "$WORK/crest" metricscheck -url "$URL"
@@ -94,9 +98,11 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "registry" ]; then
     wait_addr "$WORK/addr-registry"
     URL="http://$(cat "$WORK/addr-registry")"
 
-    # A routed estimate moves registry_requests_total/tenant_requests_total;
-    # `crest models list` proves the admin surface is up.
+    # Routed estimates move registry_requests_total/tenant_requests_total;
+    # the second probe of the ε search hits the feature cache; `crest
+    # models list` proves the admin surface is up.
     "$WORK/crest" client -url "$URL" -dataset hurricane -nz 12 -ny 64 -nx 64 -step 3
+    "$WORK/crest" client -url "$URL" -dataset hurricane -nz 12 -ny 64 -nx 64 -step 3 -eps 1e-2
     "$WORK/crest" models list -url "$URL"
     post_stream "$URL"
 
@@ -116,6 +122,7 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "capacity" ]; then
     # A burst of estimates gives the online sampler busy ticks to pair
     # served-counter deltas with inflight levels.
     "$WORK/crest" client -url "$URL" -dataset hurricane -nz 12 -ny 64 -nx 64 -step 3
+    "$WORK/crest" client -url "$URL" -dataset hurricane -nz 12 -ny 64 -nx 64 -step 3 -eps 1e-2
     "$WORK/crest" client -url "$URL" -dataset hurricane -nz 12 -ny 64 -nx 64 -step 2
     post_stream "$URL"
     sleep 0.2

@@ -11,11 +11,12 @@
 # Targets covered by default:
 #   internal/huffman    FuzzDecode, FuzzRoundTrip    (canonical Huffman codec)
 #   internal/usecases   FuzzUnmarshalAggFile         (aggregated-file parser)
-#   internal/featcache  FuzzKeyDerivation            (cache key derivation)
+#   internal/featcache  FuzzKeyDerivation            (content-key derivation)
 #   internal/compressors  FuzzDecompress*            (all decoder hardening targets)
 #   internal/grid       FuzzBufferValidate           (public-boundary buffer validation)
 #   internal/grid       FuzzChunkDecode              (CRBS block-stream decoder hardening)
 #   internal/stats      FuzzQuantizeBin              (saturated quantizer bin index)
+#   internal/stats      FuzzQuantizedEntropy         (bin counter vs the map reference)
 #   snapshot            FuzzSnapshotDecode           (durable-model envelope decoder)
 set -eu
 
