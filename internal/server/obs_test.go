@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -44,14 +47,50 @@ func wireErrorOf(t testing.TB, body []byte) WireError {
 // TestOversizedBodyIs413: a body over MaxBodyBytes must map to 413 with
 // its own wire kind — the regression test for the pre-fix behavior that
 // folded the MaxBytesReader failure into the generic 400 invalid_buffer.
+// The valid body is sent with its length declared and sent chunked, of
+// unknown length.
 func TestOversizedBodyIs413(t *testing.T) {
 	env, _ := newObsServer(t, Config{MaxBodyBytes: 64})
-	resp, body := postJSON(t, env.ts.URL+"/v1/estimate", estimateBody(t, 24, 24, 1))
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413: %s", resp.StatusCode, body)
+	valid := estimateBody(t, 24, 24, 1)
+	for _, src := range []io.Reader{bytes.NewReader(valid), io.MultiReader(bytes.NewReader(valid))} {
+		resp, body := postReader(t, env.ts.URL+"/v1/estimate", src)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%T body: status %d, want 413: %s", src, resp.StatusCode, body)
+		}
+		if we := wireErrorOf(t, body); we.Kind != "body_too_large" {
+			t.Fatalf("%T body: kind %q, want body_too_large (%s)", src, we.Kind, we.Message)
+		}
 	}
-	if we := wireErrorOf(t, body); we.Kind != "body_too_large" {
-		t.Fatalf("kind %q, want body_too_large (%s)", we.Kind, we.Message)
+}
+
+// TestTruncatedBodyIs400: a body that ends before its declared length
+// gets the reference decoder's answer to the bytes that arrived followed
+// by the read error.
+func TestTruncatedBodyIs400(t *testing.T) {
+	env, _ := newObsServer(t, Config{})
+	body := estimateBody(t, 16, 16, 1)
+	conn, err := net.Dial("tcp", env.ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/estimate HTTP/1.1\r\nHost: crest\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		len(body), body[:len(body)/2])
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const msg = "crest: invalid buffer: body: unexpected EOF"
+	if we := wireErrorOf(t, out); resp.StatusCode != http.StatusBadRequest || we.Kind != "invalid_buffer" || we.Message != msg {
+		t.Fatalf("got %d %q %q, want 400 invalid_buffer %q", resp.StatusCode, we.Kind, we.Message, msg)
 	}
 }
 

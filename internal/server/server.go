@@ -208,6 +208,7 @@ type Server struct {
 	// Online capacity sampling (Config.CapacityWindow > 0 only).
 	capWin      *capacity.Window
 	capStop     chan struct{}
+	capDone     chan struct{} // closed when the sampler goroutine exits
 	capStopOnce sync.Once
 	capMetrics  capacityMetrics
 }
@@ -326,6 +327,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CapacityWindow > 0 {
 		s.capWin = capacity.NewWindow()
 		s.capStop = make(chan struct{})
+		s.capDone = make(chan struct{})
 		s.capMetrics = capacityMetrics{
 			samples:      cfg.Obs.Counter("capacity_samples_total"),
 			levels:       cfg.Obs.Gauge("capacity_levels"),
@@ -338,6 +340,7 @@ func New(cfg Config) (*Server, error) {
 
 // capacitySampler ticks the online capacity window until Drain stops it.
 func (s *Server) capacitySampler() {
+	defer close(s.capDone)
 	t := time.NewTicker(s.cfg.CapacityWindow)
 	defer t.Stop()
 	for {
@@ -354,13 +357,15 @@ func (s *Server) capacitySampler() {
 	}
 }
 
-// stopCapacitySampler halts the sampler goroutine (idempotent, safe when
-// the sampler was never started).
+// stopCapacitySampler halts the sampler goroutine and waits for it to
+// exit, so no tick lands after Drain returns (idempotent, safe when the
+// sampler was never started).
 func (s *Server) stopCapacitySampler() {
 	if s.capStop == nil {
 		return
 	}
 	s.capStopOnce.Do(func() { close(s.capStop) })
+	<-s.capDone
 }
 
 // SetReady flips admission readiness without draining (manual maintenance
@@ -981,20 +986,47 @@ func classify(err error) (string, int) {
 //     silently zero a parameter (an eps typo becoming eps=0).
 //   - Trailing data after the JSON document is rejected: a concatenated
 //     second document would otherwise be silently ignored.
+//
+// Every body is read once into one buffer (readBody), which is also the
+// copy a fleet node forwards. An estimate body read to its end goes to the
+// fast path (jsonfast.go). When the fast path declines, for any other
+// request type, or when the read ends early — over the cap, or short of
+// the declared length — decodeJSON runs over the same bytes followed by
+// the read's error, so it answers exactly as it would over the stream.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) ([]byte, error) {
-	var raw bytes.Buffer
-	dec := json.NewDecoder(io.TeeReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &raw))
+	n := s.cfg.MaxBodyBytes
+	if r.ContentLength > 0 && r.ContentLength < n {
+		n = r.ContentLength
+	}
+	buf, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), n)
+	if er, ok := dst.(*EstimateRequest); ok && err == nil && er.decodeFast(buf) {
+		return buf, nil
+	}
+	var src io.Reader = bytes.NewReader(buf)
+	if err != nil {
+		src = io.MultiReader(src, errReader{err})
+	}
+	if err := decodeJSON(src, dst); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// decodeJSON is the reference decoder: one JSON document with no unknown
+// fields and nothing after it but whitespace.
+func decodeJSON(src io.Reader, dst any) error {
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		return nil, classifyBodyError(err)
+		return classifyBodyError(err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		if err == nil {
 			err = errors.New("trailing data after JSON document")
 		}
-		return nil, classifyBodyError(err)
+		return classifyBodyError(err)
 	}
-	return raw.Bytes(), nil
+	return nil
 }
 
 // classifyBodyError types a body-read failure: the MaxBytesReader cap

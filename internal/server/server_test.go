@@ -99,7 +99,14 @@ func estimateBody(t testing.TB, rows, cols int, seed int64) []byte {
 
 func postJSON(t testing.TB, url string, body []byte) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	return postReader(t, url, bytes.NewReader(body))
+}
+
+// postReader posts a JSON body read from src. The client declares the
+// length of a bytes or strings reader and sends any other reader chunked.
+func postReader(t testing.TB, url string, src io.Reader) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,16 +153,6 @@ func TestEstimateMatchesDirectPath(t *testing.T) {
 
 	rows, cols := 24, 24
 	data := testBuffer(rows, cols, 5)
-	resp, body := postJSON(t, ts.URL+"/v1/estimate", mustJSON(t, EstimateRequest{
-		Rows: rows, Cols: cols, Data: data, Eps: 1e-3,
-	}))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var got EstimateResponse
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
-	}
 	buf, err := grid.FromSlice(rows, cols, append([]float64(nil), data...))
 	if err != nil {
 		t.Fatal(err)
@@ -168,10 +165,23 @@ func TestEstimateMatchesDirectPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// JSON float64 round trip is exact; the served numbers must be the
-	// direct path's bit for bit.
-	if got.CR != want.CR || got.Lo != want.Lo || got.Hi != want.Hi {
-		t.Fatalf("served %+v != direct %+v", got, want)
+	reqBody := mustJSON(t, EstimateRequest{Rows: rows, Cols: cols, Data: data, Eps: 1e-3})
+	// A reader of unknown length makes the client send the body chunked;
+	// it must get the same answer as the body sent with its length.
+	for _, src := range []io.Reader{bytes.NewReader(reqBody), io.MultiReader(bytes.NewReader(reqBody))} {
+		resp, body := postReader(t, ts.URL+"/v1/estimate", src)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%T body: status %d: %s", src, resp.StatusCode, body)
+		}
+		var got EstimateResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		// JSON float64 round trip is exact; the served numbers must be the
+		// direct path's bit for bit.
+		if got.CR != want.CR || got.Lo != want.Lo || got.Hi != want.Hi {
+			t.Fatalf("%T body: served %+v != direct %+v", src, got, want)
+		}
 	}
 }
 

@@ -25,9 +25,10 @@ import (
 // — status, the client-visible headers and the body — for a fixed script
 // of requests against a single node (recalibration on and off), a
 // registry (same script plus lineage and quota cases) and a two-node
-// fleet (local, forwarded, content-routed, split batch, degraded). The
-// transcript is compared byte for byte against testdata; regenerate it
-// only for an intended wire change:
+// fleet (local, forwarded, content-routed, split batch, a forwarded body
+// the JSON fast path declines, degraded). The transcript is compared byte
+// for byte against testdata; regenerate it only for an intended wire
+// change:
 //
 //	CREST_UPDATE_GOLDEN=1 go test ./internal/server -run TestWireTranscripts
 //
@@ -153,6 +154,9 @@ func fleetTranscript(t *testing.T, out *bytes.Buffer) {
 	tr.post("content-routed 4x4", "/v1/estimate", "application/json",
 		mustJSON(t, EstimateRequest{Rows: 4, Cols: 4, Data: tiny, Eps: 1e-3}), nil)
 	tr.post("split batch", "/v1/batch", "application/json", split, nil)
+	// A body the JSON fast path declines is forwarded byte for byte too.
+	tr.post("forwarded case-folded key", "/v1/estimate", "application/json",
+		bytes.Replace(mustJSON(t, named(remoteField)), []byte(`"rows"`), []byte(`"Rows"`), 1), nil)
 
 	fleet.nodes[1].stop()
 	tr.post("degraded estimate", "/v1/estimate", "application/json", mustJSON(t, named(remoteField)), nil)
@@ -260,4 +264,15 @@ func (tr *transcript) commonCases() {
 	}
 	tr.post("feedback short features", "/v1/feedback", js,
 		mustJSON(t, FeedbackRequest{Features: []float64{1, 2}, ActualCR: 5}), nil)
+
+	// Bodies the JSON fast path declines, which the reference decoder
+	// answers, and a whitespace-padded canonical body it accepts.
+	tr.post("case-folded key", "/v1/estimate", js, bytes.Replace(validJSON, []byte(`"rows"`), []byte(`"Rows"`), 1), nil)
+	tr.post("duplicate data", "/v1/estimate", js, append([]byte(`{"data":[0],`), validJSON[1:]...), nil)
+	tr.post("data 1e400", "/v1/estimate", js, []byte(`{"rows":4,"cols":4,"data":[1e400],"eps":0.001}`), nil)
+	tr.post("escaped field", "/v1/estimate", js, append([]byte(`{"field":"café \"x\"",`), validJSON[1:]...), nil)
+	tr.post("data null", "/v1/estimate", js, []byte(`{"rows":24,"cols":24,"data":null,"eps":0.001}`), nil)
+	padded := bytes.ReplaceAll(validJSON, []byte(`,"`), []byte(",\n\t\""))
+	padded = bytes.ReplaceAll(padded, []byte(`":`), []byte(`" : `))
+	tr.post("padded estimate", "/v1/estimate", js, append(append([]byte(" \r\n"), padded...), " \n"...), nil)
 }

@@ -17,11 +17,12 @@
 #   internal/grid       FuzzChunkDecode              (CRBS block-stream decoder hardening)
 #   internal/stats      FuzzQuantizeBin              (saturated quantizer bin index)
 #   internal/stats      FuzzQuantizedEntropy         (bin counter vs the map reference)
+#   internal/server     FuzzDecodeRequest            (JSON fast path vs encoding/json)
 #   snapshot            FuzzSnapshotDecode           (durable-model envelope decoder)
 set -eu
 
 FUZZTIME="${FUZZTIME:-5s}"
-PKGS="${*:-./internal/huffman ./internal/usecases ./internal/featcache ./internal/compressors ./internal/grid ./internal/stats ./snapshot}"
+PKGS="${*:-./internal/huffman ./internal/usecases ./internal/featcache ./internal/compressors ./internal/grid ./internal/stats ./internal/server ./snapshot}"
 
 for pkg in $PKGS; do
     targets=$(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true)
