@@ -28,7 +28,9 @@ var (
 	ErrInvalidBuffer = errors.New("crest: invalid buffer")
 
 	// ErrNonFiniteData reports buffer data whose NaN/Inf fraction exceeds
-	// the validation policy in force.
+	// the validation policy in force, or finite data whose global mean or
+	// variance overflows float64 (values beyond about 1e154 in magnitude,
+	// whose squares do not fit), which would make every feature NaN.
 	ErrNonFiniteData = errors.New("crest: non-finite data")
 
 	// ErrCanceled reports work abandoned because a context was canceled

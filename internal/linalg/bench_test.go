@@ -33,6 +33,27 @@ func BenchmarkSymEigenValues16(b *testing.B) {
 	}
 }
 
+// BenchmarkSymEigenValuesInto64 times the eigensolve every estimate
+// pays, on the path production runs: the pooled, values-only call on
+// the 64×64 second moment Σ of a smooth 128×128 field in 8×8 blocks,
+// built by FusedBlockMoments as the predictors build it. Random
+// symmetric matrices (the benchmarks above) converge differently. The
+// eight fields cycle so that no single spectrum sets the time.
+func BenchmarkSymEigenValuesInto64(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	sigmas := make([]*Matrix, 8)
+	for i := range sigmas {
+		sigmas[i] = secondMoment(rng, 64, 16)
+	}
+	out := make([]float64, 64)
+	work := make([]float64, 64*64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SymEigenValuesInto(sigmas[i%len(sigmas)], out, work)
+	}
+}
+
 func BenchmarkCholeskySolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	a := randSPD(32, rng)

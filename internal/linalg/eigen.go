@@ -94,11 +94,13 @@ func symEigen(a *Matrix, wantVectors bool) (values []float64, vectors *Matrix) {
 }
 
 // jacobiSweeps runs the thresholded cyclic Jacobi iteration on w in
-// place, accumulating rotations into v when non-nil.
-func jacobiSweeps(w, v *Matrix) {
+// place, accumulating rotations into v when non-nil, and returns how
+// many sweeps it ran.
+func jacobiSweeps(w, v *Matrix) int {
 	n := w.Rows
 	const maxSweeps = 48
-	for sweep := 0; sweep < maxSweeps; sweep++ {
+	sweep := 0
+	for ; sweep < maxSweeps; sweep++ {
 		off := offDiagNorm(w)
 		if off == 0 {
 			break
@@ -106,9 +108,11 @@ func jacobiSweeps(w, v *Matrix) {
 		// Convergence relative to the matrix scale. Jacobi converges
 		// quadratically, so a 1e-9 relative off-diagonal norm leaves
 		// eigenvalues accurate far beyond what the downstream metrics
-		// resolve.
+		// resolve. Written as !(off > …) so a NaN norm also stops: a
+		// NaN entry never converges, and would otherwise run all
+		// maxSweeps sweeps.
 		scale := frobNorm(w)
-		if scale == 0 || off <= 1e-9*scale {
+		if scale == 0 || !(off > 1e-9*scale) {
 			break
 		}
 		// Thresholded sweep: rotations that cannot move the off-diagonal
@@ -139,10 +143,21 @@ func jacobiSweeps(w, v *Matrix) {
 			}
 		}
 	}
+	return sweep
 }
 
 // rotate applies the two-sided Jacobi rotation J(p,q,θ)ᵀ A J(p,q,θ) in
 // place on symmetric w, operating on the rows directly for speed.
+//
+// The row update runs branch-free over every i in [0,n): four lanes at
+// a time in the AVX2 kernel where the CPU has it (rotateRowsF64), then
+// the scalar loop for the rest. Iterations i = p and i = q compute
+// wrong values, but they write them only into the entries (p,p), (p,q),
+// (q,p) and (q,q), which only those two iterations read and which are
+// overwritten afterwards from values computed up front. Every other
+// element gets the inputs and the round(mul) → round(sub/add) sequence
+// of the scalar statement, so the result is bit-identical to a loop
+// that skips i = p and i = q.
 func rotate(w *Matrix, p, q int, c, s float64) {
 	n := w.Rows
 	rowP, rowQ := w.Row(p), w.Row(q)
@@ -150,10 +165,7 @@ func rotate(w *Matrix, p, q int, c, s float64) {
 	newPP := c*c*app - 2*s*c*apq + s*s*aqq
 	newQQ := s*s*app + 2*s*c*apq + c*c*aqq
 	// Update rows p and q (and mirror onto columns via symmetry).
-	for i := 0; i < n; i++ {
-		if i == p || i == q {
-			continue
-		}
+	for i := rotateRowsF64(w.Data, n, p, q, c, s); i < n; i++ {
 		aip, aiq := rowP[i], rowQ[i]
 		nip := c*aip - s*aiq
 		niq := s*aip + c*aiq
@@ -193,56 +205,6 @@ func frobNorm(w *Matrix) float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// SingularValues returns the singular values of a general m×n matrix in
-// descending order, computed as the square roots of the eigenvalues of the
-// smaller Gram matrix (AᵀA or AAᵀ). Tiny negative eigenvalues from
-// round-off are clamped to zero.
-func SingularValues(a *Matrix) []float64 {
-	var gram *Matrix
-	if a.Rows >= a.Cols {
-		gram = gramT(a) // AᵀA, n×n
-	} else {
-		gram = gramN(a) // AAᵀ, m×m
-	}
-	vals, _ := SymEigen(gram)
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		if v < 0 {
-			v = 0
-		}
-		out[i] = math.Sqrt(v)
-	}
-	return out
-}
-
-func gramT(a *Matrix) *Matrix {
-	n := a.Cols
-	g := NewMatrix(n, n)
-	for r := 0; r < a.Rows; r++ {
-		row := a.Row(r)
-		g.AddOuter(row, 1)
-	}
-	return g
-}
-
-func gramN(a *Matrix) *Matrix {
-	m := a.Rows
-	g := NewMatrix(m, m)
-	for i := 0; i < m; i++ {
-		ri := a.Row(i)
-		for j := i; j < m; j++ {
-			rj := a.Row(j)
-			var s float64
-			for k := range ri {
-				s += ri[k] * rj[k]
-			}
-			g.Set(i, j, s)
-			g.Set(j, i, s)
-		}
-	}
-	return g
 }
 
 // PCAResult holds a principal component analysis: component directions

@@ -154,36 +154,6 @@ func TestSymEigenValuesMatchesFull(t *testing.T) {
 	}
 }
 
-func TestSingularValues(t *testing.T) {
-	// Known: diag(3, 2) has singular values 3, 2.
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 3)
-	a.Set(1, 1, -2)
-	sv := SingularValues(a)
-	if math.Abs(sv[0]-3) > 1e-9 || math.Abs(sv[1]-2) > 1e-9 {
-		t.Errorf("singular values = %v", sv)
-	}
-	// Tall and wide shapes agree with Frobenius identity Σσ² = ‖A‖²_F.
-	rng := rand.New(rand.NewSource(11))
-	for _, sh := range [][2]int{{5, 3}, {3, 5}} {
-		m := NewMatrix(sh[0], sh[1])
-		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
-		}
-		var frob2 float64
-		for _, v := range m.Data {
-			frob2 += v * v
-		}
-		var sum2 float64
-		for _, s := range SingularValues(m) {
-			sum2 += s * s
-		}
-		if math.Abs(frob2-sum2) > 1e-8*(1+frob2) {
-			t.Errorf("%dx%d: Σσ² = %g, ‖A‖²_F = %g", sh[0], sh[1], sum2, frob2)
-		}
-	}
-}
-
 func TestCholeskySolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 10; trial++ {

@@ -1,7 +1,7 @@
 // Package linalg implements the dense linear algebra required by the
 // predictors and the estimation model: symmetric eigendecomposition
-// (cyclic Jacobi), singular values, Cholesky factorization and solves,
-// principal component analysis and the Mahalanobis distance.
+// (cyclic Jacobi), Cholesky factorization and solves, principal
+// component analysis and the Mahalanobis distance.
 //
 // The paper offloads the eigendecomposition and block outer products to a
 // GPU; this package is the pure-Go substrate those routines run on, with

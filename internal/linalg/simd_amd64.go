@@ -155,3 +155,31 @@ func pairReduceVecF32(row, posR, posC, norm2, mean, invSd []float32, c pairConst
 		uint64(nv), &c, &sums)
 	return nv, sums
 }
+
+// rotateRowsF64 runs the AVX2 Jacobi row update of rotate over
+// i in [0, n&^3) of the n×n row-major matrix data and returns the first
+// i it did not update (the caller finishes the ragged tail with the
+// scalar loop). Like the f64 Gram kernel it issues a separate multiply
+// then subtract/add per element — no FMA — so every updated element is
+// bit-identical to the scalar statement.
+func rotateRowsF64(data []float64, n, p, q int, c, s float64) int {
+	nv := n &^ 3
+	if !haveAVX2FMA || nv == 0 {
+		return 0
+	}
+	_ = data[n*n-1] // one bounds check: every kernel load and store is below n²
+	rotateKernelF64(
+		unsafe.Pointer(&data[p*n]),
+		unsafe.Pointer(&data[q*n]),
+		unsafe.Pointer(&data[p]),
+		unsafe.Pointer(&data[q]),
+		uint64(nv), uint64(n), c, s)
+	return nv
+}
+
+// rotateKernelF64 updates rowP[i], rowQ[i] and the mirrored column
+// entries colP[i·ld], colQ[i·ld] for i in [0,n), n a positive multiple
+// of 4. Implemented in simd_amd64.s.
+//
+//go:noescape
+func rotateKernelF64(rowP, rowQ, colP, colQ unsafe.Pointer, n, ld uint64, c, s float64)

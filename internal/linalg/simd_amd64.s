@@ -1,7 +1,8 @@
 // AVX2 kernels behind simd_amd64.go. See gram.go for the determinism
 // contract: the float64 Gram kernel uses separate VMULPD/VADDPD (no FMA)
 // so every output element performs the scalar loop's exact rounding
-// sequence; the float32 kernels use FMA and are deterministic but only
+// sequence, and so does the Jacobi rotation kernel (see rotate in
+// eigen.go); the float32 kernels use FMA and are deterministic but only
 // ULP-equivalent to the scalar fallback.
 
 #include "textflag.h"
@@ -321,5 +322,60 @@ prloop:
 	VHADDPS X2, X2, X2
 	VHADDPS X2, X2, X2
 	VMOVSS X2, 8(DX)
+	VZEROUPPER
+	RET
+
+// func rotateKernelF64(rowP, rowQ, colP, colQ unsafe.Pointer, n, ld uint64, c, s float64)
+//
+// Four lanes of the Jacobi row update, for i in [0,n) with n a positive
+// multiple of 4:
+//
+//	nip = c*rowP[i] - s*rowQ[i]     rowP[i] = colP[i*ld] = nip
+//	niq = s*rowP[i] + c*rowQ[i]     rowQ[i] = colQ[i*ld] = niq
+//
+// Each product is its own VMULPD and each sum its own VSUBPD/VADDPD (no
+// FMA), so every lane rounds exactly as the scalar statement does. Rows
+// are stored whole; the mirrored column entries are ld elements apart,
+// so they are stored one lane at a time from the low and high halves.
+TEXT ·rotateKernelF64(SB), NOSPLIT, $0-64
+	MOVQ rowP+0(FP), SI
+	MOVQ rowQ+8(FP), DI
+	MOVQ colP+16(FP), R8
+	MOVQ colQ+24(FP), R9
+	MOVQ n+32(FP), CX
+	MOVQ ld+40(FP), R10
+	SHLQ $3, R10            // column stride, bytes
+	LEAQ (R10)(R10*2), R11  // 3 * column stride
+	VBROADCASTSD c+48(FP), Y14
+	VBROADCASTSD s+56(FP), Y15
+
+rotloop:
+	VMOVUPD (SI), Y0        // aip
+	VMOVUPD (DI), Y1        // aiq
+	VMULPD Y0, Y14, Y2      // c*aip
+	VMULPD Y1, Y15, Y3      // s*aiq
+	VSUBPD Y3, Y2, Y2       // nip
+	VMULPD Y0, Y15, Y4      // s*aip
+	VMULPD Y1, Y14, Y5      // c*aiq
+	VADDPD Y5, Y4, Y4       // niq
+	VMOVUPD Y2, (SI)
+	VMOVUPD Y4, (DI)
+	VEXTRACTF128 $1, Y2, X6
+	VEXTRACTF128 $1, Y4, X7
+	VMOVSD X2, (R8)
+	VMOVHPD X2, (R8)(R10*1)
+	VMOVSD X6, (R8)(R10*2)
+	VMOVHPD X6, (R8)(R11*1)
+	VMOVSD X4, (R9)
+	VMOVHPD X4, (R9)(R10*1)
+	VMOVSD X7, (R9)(R10*2)
+	VMOVHPD X7, (R9)(R11*1)
+	LEAQ (R8)(R10*4), R8
+	LEAQ (R9)(R10*4), R9
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JNZ  rotloop
+
 	VZEROUPPER
 	RET

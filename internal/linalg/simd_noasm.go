@@ -24,3 +24,7 @@ type pairConsts32 struct {
 func pairReduceVecF32(row, posR, posC, norm2, mean, invSd []float32, c pairConsts32) (n int, sums [3]float32) {
 	return 0, sums
 }
+
+func rotateRowsF64(data []float64, n, p, q int, c, s float64) int {
+	return 0
+}

@@ -232,6 +232,23 @@ func (f *streamFeaturizer[F]) Finish(eps ...float64) (DatasetFeatures, []float64
 	f.finished = true
 	s := f.s
 
+	// Global standardization from the streamed moments: the accumulation
+	// order was row-major element order, so gm/gsd carry the same bits as
+	// stats.MeanStd over the assembled buffer. Finite values whose sum or
+	// squares overflow leave gm or gv Inf or NaN, which would standardize
+	// V to NaN, so the slice is refused before any entropy or back-half
+	// work.
+	n := float64(f.rows) * float64(f.cols)
+	gm := f.sum / n
+	gv := f.sum2/n - gm*gm
+	if math.IsNaN(gm) || math.IsInf(gm, 0) || math.IsNaN(gv) || math.IsInf(gv, 0) {
+		return DatasetFeatures{}, nil, fmt.Errorf("predictors: %w: global moments overflow float64 (mean %g, variance %g)",
+			crerr.ErrNonFiniteData, gm, gv)
+	}
+	if gv < 0 {
+		gv = 0 // numerical guard (same as stats.MeanStd)
+	}
+
 	// Error-bound entropies run on the raw retained values (V is still
 	// unstandardized here), matching ComputeEB over the whole buffer.
 	var distortions []float64
@@ -256,17 +273,8 @@ func (f *streamFeaturizer[F]) Finish(eps ...float64) (DatasetFeatures, []float64
 		obsDist.Observe(time.Since(t0).Seconds())
 	}
 
-	// Global standardization from the streamed moments: the accumulation
-	// order was row-major element order, so gm/gsd carry the same bits as
-	// stats.MeanStd over the assembled buffer. The fused traversal then
-	// standardizes V and fills every per-block moment plus the
-	// second-moment triangle in one pass.
-	n := float64(f.rows) * float64(f.cols)
-	gm := f.sum / n
-	gv := f.sum2/n - gm*gm
-	if gv < 0 {
-		gv = 0 // numerical guard (same as stats.MeanStd)
-	}
+	// The fused traversal standardizes V and fills every per-block
+	// moment plus the second-moment triangle in one pass.
 	fillBlockStats(s, gm, math.Sqrt(gv), f.b, f.bc)
 	setup := time.Since(f.tStart).Seconds()
 	df := finishDataset(s, f.b, f.k2, f.cfg.Workers, f.cfg.SkipProfile, setup)

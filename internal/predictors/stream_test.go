@@ -240,6 +240,34 @@ func TestStreamingNonFiniteRejected(t *testing.T) {
 	}
 }
 
+// TestOverflowingMomentsRejected: finite values whose squares (1e160)
+// or sum of squares (1e153 over 64×64) overflow float64 leave the global
+// variance NaN or Inf, which standardized every block to NaN and sent
+// the eigensolve through all its sweeps. The in-memory and the f64
+// stream path must both refuse the slice as non-finite data.
+func TestOverflowingMomentsRejected(t *testing.T) {
+	for _, scale := range []float64{1e160, 1e153} {
+		buf := grid.NewBuffer(64, 64)
+		for i := range buf.Data {
+			buf.Data[i] = scale * (2 + math.Sin(float64(i)))
+		}
+		if _, err := ComputeDataset(buf, Config{K: 8}); !errors.Is(err, crerr.ErrNonFiniteData) {
+			t.Errorf("scale %g: ComputeDataset: want ErrNonFiniteData, got %v", scale, err)
+		}
+		cr, err := grid.NewChunkReader(bytes.NewReader(encodeStream(t, buf, grid.DTypeF64, 16)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ComputeStream(cr, []float64{1e-3}, Config{K: 8})
+		if !errors.Is(err, crerr.ErrNonFiniteData) {
+			t.Errorf("scale %g: f64 stream: want ErrNonFiniteData, got %v", scale, err)
+		}
+		if out != nil {
+			t.Errorf("scale %g: features returned for an overflowing stream", scale)
+		}
+	}
+}
+
 // TestRejectedRowLeavesNoTrace pins that a row AddRow rejects for a
 // non-finite value contributes nothing: retrying with the clean row must
 // give the exact bits of a featurizer that never saw the bad one. A row

@@ -13,8 +13,9 @@ import (
 // TestEstimateErrorWireContract pins the full error response — HTTP
 // status, wire kind and message text — for inputs the feature pipeline
 // rejects: a buffer smaller than one block and a non-finite value, over
-// JSON and over CRBS at both element types. Clients match on these
-// strings, so a refactor of the predictor front half must not move them.
+// JSON and over CRBS at both element types, and finite values whose
+// global moments overflow float64. Clients match on these strings, so a
+// refactor of the predictor front half must not move them.
 func TestEstimateErrorWireContract(t *testing.T) {
 	env := newTestServer(t, Config{}, false)
 
@@ -31,6 +32,10 @@ func TestEstimateErrorWireContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	nanBuf.Data[5*24+20] = math.NaN()
+	huge := testBuffer(24, 24, 9)
+	for i := range huge {
+		huge[i] *= 1e160
+	}
 	stream := func(buf *grid.Buffer, dt grid.DType) []byte {
 		var b bytes.Buffer
 		if err := grid.EncodeBuffer(&b, buf, dt, 5); err != nil {
@@ -61,6 +66,14 @@ func TestEstimateErrorWireContract(t *testing.T) {
 			status:      http.StatusBadRequest,
 			kind:        "invalid_buffer",
 			msg:         "crest: invalid buffer: body: invalid character 'N' looking for beginning of value",
+		},
+		{
+			name:        "json overflowing moments",
+			contentType: "application/json",
+			body:        mustJSON(t, EstimateRequest{Rows: 24, Cols: 24, Data: huge, Eps: 1e-3}),
+			status:      http.StatusBadRequest,
+			kind:        "non_finite_data",
+			msg:         "batch: rid wire-pin: / step 0 @ eps 0.001: predictors: crest: non-finite data: global moments overflow float64 (mean -8.67168335987431e+157, variance NaN)",
 		},
 		{
 			name:        "crbs f64 4x4",
