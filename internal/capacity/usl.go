@@ -45,14 +45,16 @@ func (f Fit) Throughput(n float64) float64 {
 // Peak returns the concurrency N* and throughput X(N*) at the model's
 // interior maximum. ok is false when κ = 0: the curve is monotone
 // (Amdahl or linear) and has no saturation peak — throughput approaches
-// λ/σ asymptotically (or grows without bound when σ = 0 too).
+// λ/σ asymptotically (or grows without bound when σ = 0 too). The fit
+// does not bound σ above; with σ ≥ 1 the curve falls from N = 1 on,
+// (1−σ)/κ has no real square root, and N* is 1.
 func (f Fit) Peak() (nstar, xpeak float64, ok bool) {
 	if f.Kappa <= 0 {
 		return 0, 0, false
 	}
-	nstar = math.Sqrt((1 - f.Sigma) / f.Kappa)
-	if nstar < 1 {
-		nstar = 1
+	nstar = 1
+	if r := (1 - f.Sigma) / f.Kappa; r > 1 {
+		nstar = math.Sqrt(r)
 	}
 	return nstar, f.Throughput(nstar), true
 }

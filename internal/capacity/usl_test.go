@@ -141,6 +141,19 @@ func TestFitUSLPeak(t *testing.T) {
 			t.Fatalf("X(%g)=%g exceeds reported peak %g", n, x, xpeak)
 		}
 	}
+	// Contention past 1 makes (1−σ)/κ negative: the curve falls from
+	// N = 1 on, and the peak must be N = 1, not NaN (a NaN peak broke
+	// the JSON of the capacity report and of /statsz).
+	steep, err := FitUSL(uslPoints(600, 1.2, 0.01, sweepLevels))
+	if err != nil {
+		t.Fatalf("FitUSL σ>1: %v", err)
+	}
+	if steep.Sigma <= 1 {
+		t.Fatalf("σ>1 sweep fitted σ = %g", steep.Sigma)
+	}
+	if nstar, xpeak, ok := steep.Peak(); !ok || nstar != 1 || xpeak != steep.Throughput(1) {
+		t.Fatalf("σ>1 peak = (%g, %g, %v), want N* = 1 at X(1) = %g", nstar, xpeak, ok, steep.Throughput(1))
+	}
 	// Monotone models report no interior peak.
 	amdahl, err := FitUSL(uslPoints(800, 0.1, 0, sweepLevels))
 	if err != nil {

@@ -156,6 +156,53 @@ func pairReduceVecF32(row, posR, posC, norm2, mean, invSd []float32, c pairConst
 	return nv, sums
 }
 
+// pairConsts64 carries the row-i constants of one pair-sweep row; the
+// layout is mirrored by the offsets in the assembly, so the field order
+// is load-bearing.
+type pairConsts64 struct {
+	ri, ci, n2i, mi, sdi, invK2 float64
+	// gateI is all ones in every lane when sdi > 0: the row's half of
+	// the "both sds positive" correlation gate, as a 4-lane mask.
+	gateI [4]uint64
+}
+
+// pairSweepRowF64 runs the AVX2 pair-sweep kernel over partners
+// j in [0, len(row)&^3) of one row (see PairSweepF64): it adds each
+// pair's terms to the partner sums and returns how many partners it
+// consumed plus row i's serial partial sums, which the caller's scalar
+// loop continues. invK2 must be the exact reciprocal of a power-of-two
+// k². The caller has checked every slice against the block count.
+func pairSweepRowF64(row, posR, posC, norm2, mean, sd, sumDs, sumDsDe, sumDsV []float64, ri, ci, n2i, mi, sdi, invK2 float64) (n int, sums [3]float64) {
+	n = len(row) &^ 3
+	if !haveAVX2FMA || n == 0 {
+		return 0, sums
+	}
+	c := pairConsts64{ri: ri, ci: ci, n2i: n2i, mi: mi, sdi: sdi, invK2: invK2}
+	if sdi > 0 {
+		c.gateI = [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	}
+	pairSweepKernelF64(
+		unsafe.Pointer(unsafe.SliceData(row)),
+		unsafe.Pointer(unsafe.SliceData(posR)),
+		unsafe.Pointer(unsafe.SliceData(posC)),
+		unsafe.Pointer(unsafe.SliceData(norm2)),
+		unsafe.Pointer(unsafe.SliceData(mean)),
+		unsafe.Pointer(unsafe.SliceData(sd)),
+		unsafe.Pointer(unsafe.SliceData(sumDs)),
+		unsafe.Pointer(unsafe.SliceData(sumDsDe)),
+		unsafe.Pointer(unsafe.SliceData(sumDsV)),
+		uint64(n), &c, &sums)
+	return n, sums
+}
+
+// pairSweepKernelF64 folds partners j in [0, n) of one pair-sweep row,
+// n a positive multiple of 4: row i's three sums serially in j order
+// into sums, and each term into the partner sums accDs[j], accDsDe[j],
+// accDsV[j]. Implemented in simd_amd64.s.
+//
+//go:noescape
+func pairSweepKernelF64(row, posR, posC, norm2, mean, sd, accDs, accDsDe, accDsV unsafe.Pointer, n uint64, consts *pairConsts64, sums *[3]float64)
+
 // rotateRowsF64 runs the AVX2 Jacobi row update of rotate over
 // i in [0, n&^3) of the n×n row-major matrix data and returns the first
 // i it did not update (the caller finishes the ragged tail with the

@@ -1,9 +1,10 @@
 // AVX2 kernels behind simd_amd64.go. See gram.go for the determinism
 // contract: the float64 Gram kernel uses separate VMULPD/VADDPD (no FMA)
 // so every output element performs the scalar loop's exact rounding
-// sequence, and so does the Jacobi rotation kernel (see rotate in
-// eigen.go); the float32 kernels use FMA and are deterministic but only
-// ULP-equivalent to the scalar fallback.
+// sequence, and so do the Jacobi rotation kernel (see rotate in
+// eigen.go) and the float64 pair sweep (see PairSweepF64 in
+// pairreduce.go); the float32 kernels use FMA and are deterministic but
+// only ULP-equivalent to the scalar fallback.
 
 #include "textflag.h"
 
@@ -377,5 +378,123 @@ rotloop:
 	SUBQ $4, CX
 	JNZ  rotloop
 
+	VZEROUPPER
+	RET
+
+// func pairSweepKernelF64(row, posR, posC, norm2, mean, sd, accDs, accDsDe, accDsV unsafe.Pointer, n uint64, consts *pairConsts64, sums *[3]float64)
+//
+// Four pairs (i, j..j+3) per iteration of the float64 pair sweep, for
+// j in [0,n) with n a positive multiple of 4:
+//
+//	ds   = |ri - posR[j]| + |ci - posC[j]|
+//	de2  = (n2i + norm2[j]) - 2*row[j];  de2 = 0 if de2 < 0
+//	de   = sqrt(de2)
+//	rho  = (row[j]*invK2 - mi*mean[j]) / (sdi*sd[j]), clamped to [-1, 1]
+//	rho  = 0 unless sdi > 0 and sd[j] > 0
+//	terms: ds, ds*de, ds*|rho|
+//
+// Every operation is its own instruction, in the order of the scalar
+// statement: no FMA, and VDIVPD/VSQRTPD round correctly. The max and
+// min take the constant as the first source, so a NaN or -0 de2 and a
+// NaN rho pass through as in the scalar comparisons; clamping |rho| at
+// 1 equals clamping rho to [-1, 1] and then taking |rho|. Row i's three
+// sums fold the lanes one by one in j order; each partner sum takes its
+// lane's term with one add.
+TEXT ·pairSweepKernelF64(SB), NOSPLIT, $0-96
+	MOVQ row+0(FP), SI
+	MOVQ posR+8(FP), R8
+	MOVQ posC+16(FP), R9
+	MOVQ norm2+24(FP), R10
+	MOVQ mean+32(FP), R11
+	MOVQ sd+40(FP), R12
+	MOVQ accDs+48(FP), R13
+	MOVQ accDsDe+56(FP), R14
+	MOVQ accDsV+64(FP), R15
+	MOVQ n+72(FP), CX
+	SHLQ $3, CX                  // n, bytes
+	MOVQ consts+80(FP), DX
+	VBROADCASTSD 0(DX), Y12      // ri
+	VBROADCASTSD 8(DX), Y11      // ci
+	VBROADCASTSD 16(DX), Y10     // n2i
+	VBROADCASTSD 24(DX), Y9      // mi
+	VBROADCASTSD 32(DX), Y8      // sdi
+	VBROADCASTSD 40(DX), Y7      // invK2
+	MOVQ $0x7FFFFFFFFFFFFFFF, AX // abs mask
+	MOVQ AX, X15
+	VBROADCASTSD X15, Y15
+	MOVQ $0x3FF0000000000000, AX // 1.0
+	MOVQ AX, X14
+	VBROADCASTSD X14, Y14
+	VXORPD Y13, Y13, Y13         // 0.0
+	VXORPD X0, X0, X0            // row sum ds
+	VXORPD X1, X1, X1            // row sum ds*de
+	VXORPD X2, X2, X2            // row sum ds*|rho|
+	XORQ AX, AX                  // j, bytes
+
+psloop:
+	VMOVUPD (R8)(AX*1), Y3
+	VSUBPD Y3, Y12, Y3           // ri - posR[j]
+	VANDPD Y15, Y3, Y3
+	VMOVUPD (R9)(AX*1), Y4
+	VSUBPD Y4, Y11, Y4           // ci - posC[j]
+	VANDPD Y15, Y4, Y4
+	VADDPD Y4, Y3, Y3            // ds
+	VMOVUPD (SI)(AX*1), Y4       // dot
+	VADDPD (R10)(AX*1), Y10, Y5  // n2i + norm2[j]
+	VADDPD Y4, Y4, Y6            // 2*dot
+	VSUBPD Y6, Y5, Y5            // de2
+	VMAXPD Y5, Y13, Y5           // 0 > de2 ? 0 : de2
+	VSQRTPD Y5, Y5               // de
+	VMULPD Y5, Y3, Y5            // ds*de
+	VMULPD Y7, Y4, Y4            // dot*invK2
+	VMULPD (R11)(AX*1), Y9, Y6   // mi*mean[j]
+	VSUBPD Y6, Y4, Y4            // cov
+	VMULPD (R12)(AX*1), Y8, Y6   // sdi*sd[j]
+	VDIVPD Y6, Y4, Y4            // rho
+	VANDPD Y15, Y4, Y4           // |rho|
+	VMINPD Y4, Y14, Y4           // 1 < |rho| ? 1 : |rho|
+	VCMPPD $0x11, (R12)(AX*1), Y13, Y6 // 0 < sd[j] (LT_OQ)
+	VANDPD 48(DX), Y6, Y6        // and sdi > 0
+	VANDPD Y6, Y4, Y4            // gated |rho|
+	VMULPD Y4, Y3, Y4            // ds*|rho|
+
+	VADDSD X3, X0, X0            // row sum ds, lanes 0..3 in order
+	VPERMILPD $1, X3, X6
+	VADDSD X6, X0, X0
+	VEXTRACTF128 $1, Y3, X6
+	VADDSD X6, X0, X0
+	VPERMILPD $1, X6, X6
+	VADDSD X6, X0, X0
+	VADDPD (R13)(AX*1), Y3, Y3   // partner sums ds
+	VMOVUPD Y3, (R13)(AX*1)
+
+	VADDSD X5, X1, X1            // row sum ds*de
+	VPERMILPD $1, X5, X6
+	VADDSD X6, X1, X1
+	VEXTRACTF128 $1, Y5, X6
+	VADDSD X6, X1, X1
+	VPERMILPD $1, X6, X6
+	VADDSD X6, X1, X1
+	VADDPD (R14)(AX*1), Y5, Y5   // partner sums ds*de
+	VMOVUPD Y5, (R14)(AX*1)
+
+	VADDSD X4, X2, X2            // row sum ds*|rho|
+	VPERMILPD $1, X4, X6
+	VADDSD X6, X2, X2
+	VEXTRACTF128 $1, Y4, X6
+	VADDSD X6, X2, X2
+	VPERMILPD $1, X6, X6
+	VADDSD X6, X2, X2
+	VADDPD (R15)(AX*1), Y4, Y4   // partner sums ds*|rho|
+	VMOVUPD Y4, (R15)(AX*1)
+
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  psloop
+
+	MOVQ sums+88(FP), DX
+	VMOVSD X0, 0(DX)
+	VMOVSD X1, 8(DX)
+	VMOVSD X2, 16(DX)
 	VZEROUPPER
 	RET

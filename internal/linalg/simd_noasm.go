@@ -25,6 +25,10 @@ func pairReduceVecF32(row, posR, posC, norm2, mean, invSd []float32, c pairConst
 	return 0, sums
 }
 
+func pairSweepRowF64(row, posR, posC, norm2, mean, sd, sumDs, sumDsDe, sumDsV []float64, ri, ci, n2i, mi, sdi, invK2 float64) (n int, sums [3]float64) {
+	return 0, sums
+}
+
 func rotateRowsF64(data []float64, n, p, q int, c, s float64) int {
 	return 0
 }

@@ -1,6 +1,7 @@
 package predictors
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -70,60 +71,95 @@ func checkBitIdentical(t *testing.T, want, got DatasetFeatures, workers, iter in
 	}
 }
 
-// TestStreamingPathMatchesFullGram forces the streaming panel fallback by
-// exercising it directly and checks it is bit-identical to the pooled
-// full-Gram path on the same scratch contents.
+// TestStreamingPathMatchesFullGram holds the float64 full-Gram pass —
+// the lower-triangle sweep, serial and with workers — to the streaming
+// panel fallback, which folds each full Gram row serially in j order
+// (reduceRow), bit for bit on every block. The shapes cover B mod 4 of
+// 1, 2 and 3 (ragged kernel tails), k = 6 (k² = 36, where the
+// covariance divides by k² instead of multiplying by its reciprocal),
+// crop margins, and constant blocks (sd = 0 gates the correlation).
 func TestStreamingPathMatchesFullGram(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	buf := grid.NewBuffer(88, 104) // 11×13 = 143 blocks: ragged panels
-	for i := range buf.Data {
-		buf.Data[i] = rng.NormFloat64() * float64(int(1)<<uint(rng.Intn(20)))
-	}
-	tl, err := grid.MakeBlocking(buf, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := tl.NumBlocks()
-	k2 := 64
-	gm, gsd := stats.MeanStd(buf.Data)
-	vecs := tl.VecAll()
-
-	full := getScratch[float64](b, k2)
-	for i, v := range vecs {
-		copy(full.vecs[i], v)
-	}
-	fillBlockStats(full, gm, gsd, b, tl.Bc)
-	full.fk2, full.invK2 = float64(k2), 1/float64(k2)
-	full.pairwisePass(b, 4) // b²·8 ≪ budget → full-Gram path
-
-	stream := getScratch[float64](b, k2)
-	for i, v := range vecs {
-		copy(stream.vecs[i], v)
-	}
-	fillBlockStats(stream, gm, gsd, b, tl.Bc)
-	stream.fk2, stream.invK2 = float64(k2), 1/float64(k2)
-	nPanels := (b + streamPanelRows - 1) / streamPanelRows
-	for p := 0; p < nPanels; p++ {
-		lo := p * streamPanelRows
-		hi := min(lo+streamPanelRows, b)
-		panel := getPanel[float64]((hi - lo) * b)
-		linalg.GramPanel(stream.vecs, lo, hi, panel)
-		for i := lo; i < hi; i++ {
-			stream.reduceRow(i, panel[(i-lo)*b:(i-lo+1)*b])
+	for _, c := range []struct {
+		rows, cols, k int
+		constBlocks   bool
+	}{
+		{88, 104, 8, false}, // 11×13 = 143 blocks, B mod 4 = 3
+		{72, 72, 8, false},  // 81 blocks, B mod 4 = 1
+		{80, 88, 8, false},  // 110 blocks, B mod 4 = 2
+		{88, 104, 8, true},
+		{54, 54, 6, false}, // 81 blocks of k² = 36
+		{67, 79, 6, true},  // 11×13 blocks of k² = 36 plus crop margins
+		{60, 66, 6, false}, // 110 blocks of k² = 36
+	} {
+		buf := grid.NewBuffer(c.rows, c.cols)
+		for i := range buf.Data {
+			buf.Data[i] = rng.NormFloat64() * float64(int(1)<<uint(rng.Intn(20)))
 		}
-		putPanel(panel)
-	}
+		tl, err := grid.MakeBlocking(buf, c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.constBlocks {
+			// Every third block holds one value.
+			for r := 0; r < tl.Br*c.k; r++ {
+				for col := 0; col < tl.Bc*c.k; col++ {
+					if blk := (r/c.k)*tl.Bc + col/c.k; blk%3 == 0 {
+						buf.Data[r*c.cols+col] = float64(blk)
+					}
+				}
+			}
+		}
+		b, k2 := tl.NumBlocks(), c.k*c.k
+		gm, gsd := stats.MeanStd(buf.Data)
+		vecs := tl.VecAll()
+		name := fmt.Sprintf("%dx%d/k=%d/const=%v", c.rows, c.cols, c.k, c.constBlocks)
 
-	for i := 0; i < b; i++ {
-		if math.Float64bits(full.wInter[i]) != math.Float64bits(stream.wInter[i]) {
-			t.Errorf("wInter[%d]: full %x, stream %x", i,
-				math.Float64bits(full.wInter[i]), math.Float64bits(stream.wInter[i]))
+		stream := getScratch[float64](b, k2)
+		for i, v := range vecs {
+			copy(stream.vecs[i], v)
 		}
-		if math.Float64bits(full.scBlock[i]) != math.Float64bits(stream.scBlock[i]) {
-			t.Errorf("scBlock[%d]: full %x, stream %x", i,
-				math.Float64bits(full.scBlock[i]), math.Float64bits(stream.scBlock[i]))
+		fillBlockStats(stream, gm, gsd, b, tl.Bc)
+		zeroSd := 0
+		for i := 0; i < b; i++ {
+			if stream.sd[i] == 0 {
+				zeroSd++
+			}
 		}
+		if c.constBlocks != (zeroSd > 0) {
+			t.Fatalf("%s: %d blocks with sd = 0", name, zeroSd)
+		}
+		nPanels := (b + streamPanelRows - 1) / streamPanelRows
+		for p := 0; p < nPanels; p++ {
+			lo := p * streamPanelRows
+			hi := min(lo+streamPanelRows, b)
+			panel := getPanel[float64]((hi - lo) * b)
+			linalg.GramPanel(stream.vecs, lo, hi, panel)
+			for i := lo; i < hi; i++ {
+				stream.reduceRow(i, panel[(i-lo)*b:(i-lo+1)*b])
+			}
+			putPanel(panel)
+		}
+
+		for _, workers := range []int{1, 4} {
+			full := getScratch[float64](b, k2)
+			for i, v := range vecs {
+				copy(full.vecs[i], v)
+			}
+			fillBlockStats(full, gm, gsd, b, tl.Bc)
+			full.pairwisePass(b, workers) // b²·8 ≪ budget → full-Gram path
+			for i := 0; i < b; i++ {
+				if math.Float64bits(full.wInter[i]) != math.Float64bits(stream.wInter[i]) {
+					t.Errorf("%s workers=%d: wInter[%d]: full %x, stream %x", name, workers, i,
+						math.Float64bits(full.wInter[i]), math.Float64bits(stream.wInter[i]))
+				}
+				if math.Float64bits(full.scBlock[i]) != math.Float64bits(stream.scBlock[i]) {
+					t.Errorf("%s workers=%d: scBlock[%d]: full %x, stream %x", name, workers, i,
+						math.Float64bits(full.scBlock[i]), math.Float64bits(stream.scBlock[i]))
+				}
+			}
+			putScratch(full)
+		}
+		putScratch(stream)
 	}
-	putScratch(full)
-	putScratch(stream)
 }

@@ -172,7 +172,10 @@ func fillBlockStats[F linalg.Float](s *dsScratch[F], gm, gsd float64, b, bc int)
 }
 
 // reduceRow folds row i of the Gram matrix into the pairwise-pass outputs
-// wInter[i] and scBlock[i]. row[j] must be ⟨v[i], v[j]⟩ for every j.
+// wInter[i] and scBlock[i]. row[j] must be ⟨v[i], v[j]⟩ for every j. It
+// serves the float32 pass and the float64 streaming fallback; the
+// float64 full-Gram pass sweeps the lower triangle instead
+// (linalg.PairSweepF64), which reproduces this fold's bits.
 //
 // The float64 fold runs j = 0 → B−1 with serial accumulators, the exact
 // order of the pre-Gram per-pair loop, so results are bit-identical to
@@ -184,12 +187,7 @@ func (s *dsScratch[F]) reduceRow(i int, row []F) {
 	if r32, ok := any(row).([]float32); ok {
 		sumDs, sumDsDe, sumDsV := linalg.PairReduceF32(
 			r32, s.posR32, s.posC32, s.norm232, s.mean32, s.invSd32, i, float32(1/s.fk2))
-		if sumDs > 0 {
-			s.wInter[i] = sumDsDe / sumDs
-			s.scBlock[i] = sumDsV / sumDs
-		} else {
-			s.wInter[i], s.scBlock[i] = 0, 0
-		}
+		s.setPairSums(i, sumDs, sumDsDe, sumDsV)
 		return
 	}
 	b := len(s.vecs)
@@ -228,6 +226,12 @@ func (s *dsScratch[F]) reduceRow(i int, row []F) {
 		sumDsDe += ds * de
 		sumDsV += ds * math.Abs(rho)
 	}
+	s.setPairSums(i, sumDs, sumDsDe, sumDsV)
+}
+
+// setPairSums turns block i's three pairwise sums into its pairwise-pass
+// outputs.
+func (s *dsScratch[F]) setPairSums(i int, sumDs, sumDsDe, sumDsV float64) {
 	if sumDs > 0 {
 		s.wInter[i] = sumDsDe / sumDs
 		s.scBlock[i] = sumDsV / sumDs
@@ -237,13 +241,15 @@ func (s *dsScratch[F]) reduceRow(i int, row []F) {
 	}
 }
 
-// pairwisePass fills s.wInter and s.scBlock from Gram rows. When the full
-// B×B Gram matrix fits the pool budget it is materialized once — computing
-// only the lower triangle from the transposed block matrix (the layout
-// the SIMD kernel broadcasts over) and mirroring, which halves the
-// dot-product work and is bit-safe because IEEE multiplication commutes.
-// Past the budget the pass streams row panels instead, recomputing each
-// dot once per side.
+// pairwisePass fills s.wInter and s.scBlock from the Gram matrix. When
+// the B×B Gram matrix fits the pool budget, only its lower triangle is
+// computed, from the transposed block matrix (the layout the SIMD kernel
+// broadcasts over), in panels striped across workers; that halves the
+// dot-product work. float64 then sweeps the triangle once on the calling
+// goroutine (linalg.PairSweepF64: each pair's terms computed once, no
+// mirror, the bits of reduceRow's full-row fold); float32 mirrors it and
+// folds full rows. Past the budget the pass streams row panels instead,
+// recomputing each dot once per side.
 func (s *dsScratch[F]) pairwisePass(b, workers int) {
 	var z F
 	if b*b*int(unsafe.Sizeof(z)) <= maxGramBytes {
@@ -257,24 +263,34 @@ func (s *dsScratch[F]) pairwisePass(b, workers int) {
 		// even a workers==1 call would heap-allocate the closures —
 		// which is exactly what the zero-steady-state-allocation
 		// contract of the saturated batch path forbids.
-		if parallel.Workers(workers) == 1 {
+		serial := parallel.Workers(workers) == 1
+		if serial {
 			for p := 0; p < nPanels; p++ {
 				lo := p * symPanelRows
 				hi := min(lo+symPanelRows, b)
 				linalg.GramBlockT(s.vecs, s.vt, lo, hi, 0, hi, s.gram[lo*b:], b)
 			}
-			linalg.MirrorLowerUpper(s.gram, b)
+		} else {
+			parallel.ForEachDynamic(nPanels, workers, func(p int) {
+				lo := p * symPanelRows
+				hi := min(lo+symPanelRows, b)
+				linalg.GramBlockT(s.vecs, s.vt, lo, hi, 0, hi, s.gram[lo*b:], b)
+			})
+		}
+		if g, ok := any(s.gram).([]float64); ok {
+			linalg.PairSweepF64(g, s.posR, s.posC, s.norm2, s.mean, s.sd, k2, s.pairDs, s.wInter, s.scBlock)
+			for i := 0; i < b; i++ {
+				s.setPairSums(i, s.pairDs[i], s.wInter[i], s.scBlock[i])
+			}
+			return
+		}
+		linalg.MirrorLowerUpper(s.gram, b)
+		if serial {
 			for i := 0; i < b; i++ {
 				s.reduceRow(i, s.gram[i*b:(i+1)*b])
 			}
 			return
 		}
-		parallel.ForEachDynamic(nPanels, workers, func(p int) {
-			lo := p * symPanelRows
-			hi := min(lo+symPanelRows, b)
-			linalg.GramBlockT(s.vecs, s.vt, lo, hi, 0, hi, s.gram[lo*b:], b)
-		})
-		linalg.MirrorLowerUpper(s.gram, b)
 		parallel.ForEach(b, workers, func(i int) {
 			s.reduceRow(i, s.gram[i*b:(i+1)*b])
 		})
@@ -348,8 +364,8 @@ func featurize[F linalg.Float](rows, cols int, data []F, eps []float64, cfg Conf
 // histograms.
 func finishDataset[F linalg.Float](s *dsScratch[F], b, k2, workers int, skipProfile bool, setup float64) DatasetFeatures {
 	// Pairwise pass: per-block inter weights and spatial correlations,
-	// driven off Gram rows. Rows are independent, so panels are striped
-	// across workers with no shared mutable state.
+	// driven off the Gram matrix (see pairwisePass for which parts run
+	// across workers).
 	tPair := time.Now()
 	s.pairwisePass(b, workers)
 

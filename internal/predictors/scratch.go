@@ -10,8 +10,8 @@ import (
 // scratch.go pools the per-call working memory of ComputeDataset so the
 // hot path stops allocating per buffer: the vectorized block matrix and
 // its slice headers, the per-block moment arrays, the pairwise-pass
-// outputs, the eigensolver working set, and (when it fits the budget)
-// the full B×B Gram matrix. The pool is safe for concurrent
+// outputs and partner sums, the eigensolver working set, and (when it
+// fits the budget) the B×B Gram matrix. The pool is safe for concurrent
 // ComputeDataset calls — each call checks out one scratch; the streaming
 // Gram path additionally checks out per-worker panel buffers from a
 // second pool. Everything element-typed is generic over float32/float64
@@ -27,12 +27,15 @@ import (
 // under -race.
 
 const (
-	// maxGramBytes bounds the pooled full Gram matrix. Up to this size
-	// the pairwise pass materializes the whole symmetric G = V·Vᵀ
-	// (halving the dot-product work); past it, the pass streams
+	// maxGramBytes bounds the pooled B×B Gram buffer. Up to this size
+	// the pairwise pass fills only the lower triangle of G = V·Vᵀ
+	// (halving the dot-product work): the float64 pass sweeps that
+	// triangle as it stands (linalg.PairSweepF64), and the float32
+	// pass mirrors it and folds full rows. Past it, the pass streams
 	// L1-resident row panels instead. 192 MiB admits B = 4096 float64
-	// blocks — a 512×512 buffer at the default k = 8 — and twice as
-	// many blocks at float32.
+	// blocks — a 512×512 buffer at the default k = 8, whose Gram
+	// buffer is 128 MiB although the sweep reads only half of it — and
+	// twice as many blocks at float32.
 	maxGramBytes = 192 << 20
 
 	// symPanelRows is the panel height of the symmetric full-Gram fill:
@@ -74,9 +77,13 @@ type dsScratch[F linalg.Float] struct {
 	norm232, mean32 []float32
 	invSd32         []float32
 
-	// Pairwise-pass outputs and the ordered-reduction term buffer.
+	// Pairwise-pass outputs and the ordered-reduction term buffer. The
+	// float64 full-Gram sweep accumulates Σ Ds·De and Σ Ds·|ρ| straight
+	// into wInter and scBlock and Σ Ds into pairDs (the partner sums),
+	// then divides in place.
 	wInter  []float64 // Σ Ds·De / Σ Ds
 	scBlock []float64 // Σ Ds·|ρ| / Σ Ds
+	pairDs  []float64 // Σ Ds
 	terms   []float64
 
 	// Second-moment accumulation target, the k²×k² matrix backing, and
@@ -86,7 +93,8 @@ type dsScratch[F linalg.Float] struct {
 	eigVals []float64
 	eigWork []float64
 
-	// Reduction constants of the current call (see reduceRow).
+	// Reduction constants of the current shape (see reduceRow): k² and,
+	// when k² is a power of two, its exact reciprocal (else 0).
 	fk2   float64
 	invK2 float64
 }
@@ -106,7 +114,7 @@ func grow[T any](s []T, n int) []T {
 
 // getScratch checks a scratch out of the pool sized for b blocks of k²
 // elements, with vecs carved from the backing at stride k² (the layout
-// the SIMD kernels detect).
+// the SIMD kernels detect) and the reduction constants set for k².
 func getScratch[F linalg.Float](b, k2 int) *dsScratch[F] {
 	var s *dsScratch[F]
 	switch p := any(&s).(type) {
@@ -130,11 +138,17 @@ func getScratch[F linalg.Float](b, k2 int) *dsScratch[F] {
 	s.posC = grow(s.posC, b)
 	s.wInter = grow(s.wInter, b)
 	s.scBlock = grow(s.scBlock, b)
+	s.pairDs = grow(s.pairDs, b)
 	s.terms = grow(s.terms, b)
 	s.lower = grow(s.lower, k2*(k2+1)/2)
 	s.sigma = grow(s.sigma, k2*k2)
 	s.eigVals = grow(s.eigVals, k2)
 	s.eigWork = grow(s.eigWork, k2*k2)
+	s.fk2 = float64(k2)
+	s.invK2 = 0
+	if k2&(k2-1) == 0 {
+		s.invK2 = 1 / s.fk2
+	}
 	if isF32[F]() {
 		s.posR32 = grow(s.posR32, b)
 		s.posC32 = grow(s.posC32, b)

@@ -147,11 +147,6 @@ func putCore[F linalg.Float](f *streamFeaturizer[F]) {
 // shaped earlier call.
 func (f *streamFeaturizer[F]) arm() {
 	f.s = getScratch[F](f.b, f.k2)
-	f.s.fk2 = float64(f.k2)
-	f.s.invK2 = 0
-	if f.k2&(f.k2-1) == 0 {
-		f.s.invK2 = 1 / f.s.fk2
-	}
 	f.rowIdx = 0
 	f.sum, f.sum2 = 0, 0
 	f.crop = f.crop[:0]

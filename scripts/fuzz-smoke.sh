@@ -18,11 +18,12 @@
 #   internal/stats      FuzzQuantizeBin              (saturated quantizer bin index)
 #   internal/stats      FuzzQuantizedEntropy         (bin counter vs the map reference)
 #   internal/server     FuzzDecodeRequest            (JSON fast path vs encoding/json)
+#   internal/linalg     FuzzPairSweepF64             (pair sweep vs scalar sweep vs full-row fold)
 #   snapshot            FuzzSnapshotDecode           (durable-model envelope decoder)
 set -eu
 
 FUZZTIME="${FUZZTIME:-5s}"
-PKGS="${*:-./internal/huffman ./internal/usecases ./internal/featcache ./internal/compressors ./internal/grid ./internal/stats ./internal/server ./snapshot}"
+PKGS="${*:-./internal/huffman ./internal/usecases ./internal/featcache ./internal/compressors ./internal/grid ./internal/stats ./internal/server ./internal/linalg ./snapshot}"
 
 for pkg in $PKGS; do
     targets=$(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true)
