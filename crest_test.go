@@ -246,3 +246,26 @@ func TestPublicVolumeSurface(t *testing.T) {
 		t.Error("volume features NaN")
 	}
 }
+
+// TestComputeDistortionHugeRange: a valid, finite buffer whose values
+// span more than MaxFloat64 (−1e308 and 1e308) gets a finite distortion
+// instead of a panic in the histogram entropy.
+func TestComputeDistortionHugeRange(t *testing.T) {
+	buf, err := crest.NewBuffer(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf.Data {
+		buf.Data[i] = 1e308
+		if i%3 == 0 {
+			buf.Data[i] = -1e308
+		}
+	}
+	d, err := crest.ComputeDistortion(buf, 1e-3, crest.PredictorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(d) || math.IsInf(d, 0) {
+		t.Fatalf("distortion %v, want finite", d)
+	}
+}

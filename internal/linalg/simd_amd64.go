@@ -230,3 +230,25 @@ func rotateRowsF64(data []float64, n, p, q int, c, s float64) int {
 //
 //go:noescape
 func rotateKernelF64(rowP, rowQ, colP, colQ unsafe.Pointer, n, ld uint64, c, s float64)
+
+// secondMomentRowsF64 adds scale·w_r·w_rᵀ of the n rows w_r held at
+// stride k in w to the lower triangle, rows in order, with the AVX2
+// kernel, and reports whether it ran. Every entry takes the scalar
+// loop's chain (see FusedBlockMoments), so the caller's scalar loop is
+// the fallback, not a different result.
+func secondMomentRowsF64(w []float64, n, k int, scale float64, lower []float64) bool {
+	if !haveAVX2FMA || n == 0 || k == 0 {
+		return false
+	}
+	_ = w[n*k-1]           // every kernel load of w is below n·k
+	_ = lower[k*(k+1)/2-1] // and every load and store of lower below k(k+1)/2
+	secondMomentKernelF64(unsafe.Pointer(unsafe.SliceData(w)), uint64(n), uint64(k), scale, unsafe.Pointer(unsafe.SliceData(lower)))
+	return true
+}
+
+// secondMomentKernelF64 adds scale·w_r·w_rᵀ of the n ≥ 1 rows w_r =
+// w[r·k:(r+1)·k] to the row-major lower triangle at lower, k ≥ 1.
+// Implemented in simd_amd64.s.
+//
+//go:noescape
+func secondMomentKernelF64(w unsafe.Pointer, n, k uint64, scale float64, lower unsafe.Pointer)

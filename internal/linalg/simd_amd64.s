@@ -2,9 +2,10 @@
 // contract: the float64 Gram kernel uses separate VMULPD/VADDPD (no FMA)
 // so every output element performs the scalar loop's exact rounding
 // sequence, and so do the Jacobi rotation kernel (see rotate in
-// eigen.go) and the float64 pair sweep (see PairSweepF64 in
-// pairreduce.go); the float32 kernels use FMA and are deterministic but
-// only ULP-equivalent to the scalar fallback.
+// eigen.go), the float64 pair sweep (see PairSweepF64 in pairreduce.go)
+// and the second-moment update (see FusedBlockMoments in fused.go); the
+// float32 kernels use FMA and are deterministic but only ULP-equivalent
+// to the scalar fallback.
 
 #include "textflag.h"
 
@@ -496,5 +497,142 @@ psloop:
 	VMOVSD X0, 0(DX)
 	VMOVSD X1, 8(DX)
 	VMOVSD X2, 16(DX)
+	VZEROUPPER
+	RET
+
+// func secondMomentKernelF64(w unsafe.Pointer, n, k uint64, scale float64, lower unsafe.Pointer)
+//
+// Adds scale*w_r*w_r^T of the n rows w_r = w[r*k : (r+1)*k] to the
+// row-major lower triangle (diagonal included) at lower, rows in order:
+//
+//	lower[p][q] += (w_r[p]*scale) * w_r[q]    for p in [0,k), q in [0,p]
+//
+// Each xp = w_r[p]*scale is rounded by its own VMULSD before it is
+// broadcast, and each term is its own VMULPD (VMULSD in a row's ragged
+// tail) then VADDPD (VADDSD): no FMA, so every entry takes the scalar
+// loop's round(mul) -> round(add) chain. Rows go four at a time: an
+// entry is loaded once, takes the four rows' terms in row order, and is
+// stored once; the last n mod 4 rows take one pass each.
+TEXT ·secondMomentKernelF64(SB), NOSPLIT, $0-40
+	MOVQ w+0(FP), SI
+	MOVQ n+8(FP), R12
+	MOVQ k+16(FP), R13
+	VBROADCASTSD scale+24(FP), Y15
+	MOVQ R13, R14
+	SHLQ $3, R14            // row stride, bytes
+
+smquad:
+	CMPQ R12, $4
+	JLT  smsingle
+	MOVQ SI, R8
+	LEAQ (R8)(R14*1), R9
+	LEAQ (R9)(R14*1), R10
+	LEAQ (R10)(R14*1), R11
+	MOVQ lower+32(FP), DI
+	XORQ BX, BX             // p
+
+sqrow:
+	VMULSD (R8)(BX*8), X15, X0 // xp of each row, rounded, then broadcast
+	VBROADCASTSD X0, Y0
+	VMULSD (R9)(BX*8), X15, X1
+	VBROADCASTSD X1, Y1
+	VMULSD (R10)(BX*8), X15, X2
+	VBROADCASTSD X2, Y2
+	VMULSD (R11)(BX*8), X15, X3
+	VBROADCASTSD X3, Y3
+	LEAQ 1(BX), CX          // entries in row p
+	MOVQ CX, DX
+	ANDQ $-4, DX            // of them in whole vectors
+	XORQ AX, AX             // q
+	TESTQ DX, DX
+	JZ   sqtail
+
+sqvec:
+	VMOVUPD (DI), Y4
+	VMULPD (R8)(AX*8), Y0, Y5
+	VADDPD Y5, Y4, Y4
+	VMULPD (R9)(AX*8), Y1, Y5
+	VADDPD Y5, Y4, Y4
+	VMULPD (R10)(AX*8), Y2, Y5
+	VADDPD Y5, Y4, Y4
+	VMULPD (R11)(AX*8), Y3, Y5
+	VADDPD Y5, Y4, Y4
+	VMOVUPD Y4, (DI)
+	ADDQ $32, DI
+	ADDQ $4, AX
+	CMPQ AX, DX
+	JLT  sqvec
+
+sqtail:
+	CMPQ AX, CX
+	JGE  sqnext
+	VMOVSD (DI), X4
+	VMULSD (R8)(AX*8), X0, X5
+	VADDSD X5, X4, X4
+	VMULSD (R9)(AX*8), X1, X5
+	VADDSD X5, X4, X4
+	VMULSD (R10)(AX*8), X2, X5
+	VADDSD X5, X4, X4
+	VMULSD (R11)(AX*8), X3, X5
+	VADDSD X5, X4, X4
+	VMOVSD X4, (DI)
+	ADDQ $8, DI
+	INCQ AX
+	JMP  sqtail
+
+sqnext:
+	INCQ BX
+	CMPQ BX, R13
+	JLT  sqrow
+	LEAQ (SI)(R14*4), SI
+	SUBQ $4, R12
+	JMP  smquad
+
+smsingle:
+	TESTQ R12, R12
+	JZ   smdone
+	MOVQ lower+32(FP), DI
+	XORQ BX, BX             // p
+
+ssrow:
+	VMULSD (SI)(BX*8), X15, X0
+	VBROADCASTSD X0, Y0
+	LEAQ 1(BX), CX
+	MOVQ CX, DX
+	ANDQ $-4, DX
+	XORQ AX, AX
+	TESTQ DX, DX
+	JZ   sstail
+
+ssvec:
+	VMOVUPD (DI), Y4
+	VMULPD (SI)(AX*8), Y0, Y5
+	VADDPD Y5, Y4, Y4
+	VMOVUPD Y4, (DI)
+	ADDQ $32, DI
+	ADDQ $4, AX
+	CMPQ AX, DX
+	JLT  ssvec
+
+sstail:
+	CMPQ AX, CX
+	JGE  ssnext
+	VMOVSD (DI), X4
+	VMULSD (SI)(AX*8), X0, X5
+	VADDSD X5, X4, X4
+	VMOVSD X4, (DI)
+	ADDQ $8, DI
+	INCQ AX
+	JMP  sstail
+
+ssnext:
+	INCQ BX
+	CMPQ BX, R13
+	JLT  ssrow
+	ADDQ R14, SI
+	DECQ R12
+	JMP  smsingle
+
+smdone:
 	VZEROUPPER
 	RET

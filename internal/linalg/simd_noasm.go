@@ -32,3 +32,7 @@ func pairSweepRowF64(row, posR, posC, norm2, mean, sd, sumDs, sumDsDe, sumDsV []
 func rotateRowsF64(data []float64, n, p, q int, c, s float64) int {
 	return 0
 }
+
+func secondMomentRowsF64(w []float64, n, k int, scale float64, lower []float64) bool {
+	return false
+}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -102,8 +103,10 @@ func TestQuantizedEntropyMatchesMapReference(t *testing.T) {
 }
 
 // TestEntropyEstimatorsWarmZeroAlloc: once the pool holds a counter, the
-// entropy estimators allocate nothing — the quantized entropy's table and
-// sort scratch and the histogram's cells all come from binPool.
+// entropy estimators allocate nothing — the quantized entropy's dense
+// array, table and count-of-counts and the histogram's cells all come
+// from binPool — on the dense path (ε = 1e-3) and the hash path
+// (ε = 1e-6) alike.
 func TestEntropyEstimatorsWarmZeroAlloc(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items randomly under -race; alloc counts are nondeterministic")
@@ -113,10 +116,17 @@ func TestEntropyEstimatorsWarmZeroAlloc(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.NormFloat64()
 	}
-	QuantizedEntropy(xs, 1e-4) // grow the pooled table once
+	QuantizedEntropy(xs, 1e-4) // grow the pooled dense array once
+	QuantizedEntropy(xs, 1e-6) // and the pooled table
 	HistogramEntropy(xs, 1024)
 	if a := testing.AllocsPerRun(20, func() { QuantizedEntropy(xs, 1e-3) }); a != 0 {
 		t.Errorf("warm QuantizedEntropy: %.1f allocs/op, want 0", a)
+	}
+	if _, _, dense := denseBins([][]float64{xs}, 1e-6, len(xs)); dense {
+		t.Fatal("ε = 1e-6 takes the dense path; the hash-path case needs a wider span")
+	}
+	if a := testing.AllocsPerRun(20, func() { QuantizedEntropy(xs, 1e-6) }); a != 0 {
+		t.Errorf("warm QuantizedEntropy on the hash path: %.1f allocs/op, want 0", a)
 	}
 	if a := testing.AllocsPerRun(20, func() { HistogramEntropy(xs, 1024) }); a != 0 {
 		t.Errorf("warm HistogramEntropy: %.1f allocs/op, want 0", a)
@@ -209,8 +219,96 @@ func TestOversizedCounterLeavesPool(t *testing.T) {
 	}
 }
 
+// TestOversizedDenseCounterLeavesPool is the dense path's twin of
+// TestOversizedCounterLeavesPool: a bound at which the bins of a 512²
+// field span about 4n, within the dense path's 8n but past
+// maxPooledDense, grows one counter's dense array to about 4 MiB; that
+// counter is not pooled either.
+func TestOversizedDenseCounterLeavesPool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(17))
+	xs := make([]float64, 512*512)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()
+	}
+	var lo, hi float64
+	for _, x := range xs {
+		lo, hi = math.Min(lo, x), math.Max(hi, x)
+	}
+	fine := (hi - lo) / float64(4*len(xs))
+	if _, w, dense := denseBins([][]float64{xs}, fine, len(xs)); !dense || w <= maxPooledDense {
+		t.Fatalf("ε = %g: dense %t over %d bins, want the dense path past %d bins", fine, dense, w, maxPooledDense)
+	}
+	traffic := func() uint64 {
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+			QuantizedEntropy(xs, 1)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := traffic()
+	QuantizedEntropy(xs, fine)
+	growth := int64(traffic()) - int64(before)
+	runtime.KeepAlive(xs)
+	t.Logf("heap growth after one dense call over 4n bins on 512×512: %d B", growth)
+	if growth > 1<<20 {
+		t.Fatalf("heap grew %d B after one dense call over 4n bins: the grown array stays pooled", growth)
+	}
+}
+
+// TestQuantizedEntropyPathChoice pins which counter each input takes and
+// that both give the map reference's bits: bins spanning n and exactly
+// 8n are counted densely; 8n+1, a span past 2³² (which a 32-bit int
+// would truncate to a small one), bins saturated at ±MaxInt64, and any
+// NaN or ±Inf value go to the table.
+func TestQuantizedEntropyPathChoice(t *testing.T) {
+	const n = 64
+	spread := func(span float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Floor(span * float64(i) / (n - 1))
+		}
+		xs[n-1] = span
+		return xs
+	}
+	withValue := func(v float64) []float64 {
+		xs := spread(n)
+		xs[n/2] = v
+		return xs
+	}
+	cases := []struct {
+		name  string
+		xs    []float64
+		eps   float64
+		dense bool
+	}{
+		{"span n", spread(n - 1), 1, true},
+		{"span 8n", spread(8*n - 1), 1, true},
+		{"span 8n+1", spread(8 * n), 1, false},
+		{"span 2^32+8", spread(1<<32 + 7), 1, false},
+		{"saturated", append(spread(n), 1e300, -1e300), 1e-300, false},
+		{"NaN", withValue(math.NaN()), 1, false},
+		{"+Inf", withValue(math.Inf(1)), 1, false},
+		{"-Inf", withValue(math.Inf(-1)), 1, false},
+		{"one value", []float64{42}, 1e-3, true},
+		{"eps +Inf", spread(n), math.Inf(1), true},
+	}
+	for _, c := range cases {
+		if _, _, dense := denseBins([][]float64{c.xs}, c.eps, len(c.xs)); dense != c.dense {
+			t.Fatalf("%s: dense %t, want %t", c.name, dense, c.dense) // a wrong path may allocate past memory next
+		}
+		checkQuantizedEntropy(t, c.xs, c.eps, len(c.xs)/3)
+	}
+}
+
 // BenchmarkQuantizedEntropy times the counter against the map reference
-// on a 256×256 field at a mid and a fine bound.
+// on a 256×256 field at a mid and a fine bound, and the counter on a
+// stream-shaped 256² float32 slice (bins spanning about 1.9n at
+// ε = 1e-3, the dense path) and on the same slice at ε = 1e-5 (about
+// 190n, the hashed table).
 func BenchmarkQuantizedEntropy(b *testing.B) {
 	rng := rand.New(rand.NewSource(14))
 	xs := make([]float64, 256*256)
@@ -228,5 +326,57 @@ func BenchmarkQuantizedEntropy(b *testing.B) {
 				mapQuantizedEntropy(xs, eps)
 			}
 		})
+	}
+	slice := [][]float32{streamSlice(rng)}
+	for _, c := range []struct {
+		name string
+		eps  float64
+	}{{"stream/f32/eps=1e-3", 1e-3}, {"sparse/f32/eps=1e-5", 1e-5}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				QuantizedEntropySeg(slice, c.eps)
+			}
+		})
+	}
+}
+
+// streamSlice returns a smooth 256² float32 field of amplitude 60 with
+// noise, whose bins at ε = 1e-3 span about 1.9n like the benchmark's
+// stream slices.
+func streamSlice(rng *rand.Rand) []float32 {
+	xs := make([]float32, 256*256)
+	for i := range xs {
+		xs[i] = float32(60*math.Sin(float64(i)/91) + 0.5*rng.NormFloat64())
+	}
+	return xs
+}
+
+// BenchmarkQuantizedEntropyPaths times the two counting paths on the
+// same 2¹⁶ values, each forced: bins drawn uniformly over spans of n,
+// 4n and 8n, the last the widest the dense path takes.
+func BenchmarkQuantizedEntropyPaths(b *testing.B) {
+	const n = 1 << 16
+	rng := rand.New(rand.NewSource(16))
+	for _, per := range []int{1, 4, 8} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(per * n))
+		}
+		xs[0], xs[1] = 0, float64(per*n-1)
+		segs := [][]float64{xs}
+		lo, w, dense := denseBins(segs, 1, n)
+		if !dense || w != per*n {
+			b.Fatalf("span %dn: dense %t over %d bins", per, dense, w)
+		}
+		for _, path := range []struct {
+			name  string
+			dense bool
+		}{{"dense", true}, {"hash", false}} {
+			b.Run(fmt.Sprintf("span=%dn/%s", per, path.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					quantizedEntropy(segs, 1, n, lo, w, path.dense)
+				}
+			})
+		}
 	}
 }

@@ -204,6 +204,39 @@ func TestHistogramEntropy(t *testing.T) {
 	}
 }
 
+// TestHistogramEntropyRangeOverflow: finite values whose range
+// max − min overflows float64 must not turn the bin width into 0, a bin
+// position into NaN and the cell index into MinInt64 (a panic). They
+// are binned at half scale: the split between −1e308 and 1e308 is one
+// bit whatever the bin count, and a value in the middle lands in the
+// middle cell.
+func TestHistogramEntropyRangeOverflow(t *testing.T) {
+	xs := make([]float64, 256)
+	for i := range xs {
+		xs[i] = 1e308
+		if i%2 == 0 {
+			xs[i] = -1e308
+		}
+	}
+	for _, bins := range []int{1, 2, 64, 1024} {
+		want := 1.0
+		if bins == 1 {
+			want = 0
+		}
+		if h := HistogramEntropy(xs, bins); h != want {
+			t.Errorf("bins=%d: H = %v, want %v", bins, h, want)
+		}
+	}
+	three := []float64{-math.MaxFloat64, 0, math.MaxFloat64}
+	var want float64
+	for i, p := 0, 1.0/3; i < 3; i++ { // one value in each of three cells
+		want -= p * math.Log2(p)
+	}
+	if h := HistogramEntropy(three, 4); h != want {
+		t.Errorf("{-Max, 0, Max} over 4 bins: H = %v, want %v (log2 3)", h, want)
+	}
+}
+
 func TestDifferentialEntropyGaussian(t *testing.T) {
 	// Differential entropy of N(0,σ) is 0.5·log2(2πeσ²).
 	rng := rand.New(rand.NewSource(5))

@@ -16,9 +16,11 @@
 #   internal/grid       FuzzBufferValidate           (public-boundary buffer validation)
 #   internal/grid       FuzzChunkDecode              (CRBS block-stream decoder hardening)
 #   internal/stats      FuzzQuantizeBin              (saturated quantizer bin index)
-#   internal/stats      FuzzQuantizedEntropy         (bin counter vs the map reference)
+#   internal/stats      FuzzQuantizedEntropy         (dense and hashed bin counters vs the map reference)
+#   internal/stats      FuzzHistogramEntropy         (histogram entropy: no panic, split and f32 invariance)
 #   internal/server     FuzzDecodeRequest            (JSON fast path vs encoding/json)
 #   internal/linalg     FuzzPairSweepF64             (pair sweep vs scalar sweep vs full-row fold)
+#   internal/linalg     FuzzFusedBlockMoments        (AVX2 second-moment update vs scalar loop vs SecondMomentLower)
 #   snapshot            FuzzSnapshotDecode           (durable-model envelope decoder)
 set -eu
 
