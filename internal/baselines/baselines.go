@@ -219,9 +219,6 @@ func (p *Proposed) WarmContext(ctx context.Context, bufs []*grid.Buffer, epses [
 	return p.cache.WarmContext(ctx, bufs, epses, workers)
 }
 
-// CacheStats returns the hit/miss counters of the method's feature cache.
-func (p *Proposed) CacheStats() featcache.Stats { return p.cache.Stats() }
-
 func logCR(cr, cap float64) float64 {
 	if cr > cap {
 		cr = cap

@@ -146,7 +146,6 @@ type clusterMetrics struct {
 	forwardFails *obs.Counter
 	hedges       *obs.Counter
 	hedgeWins    *obs.Counter
-	dedupHits    *obs.Counter
 	breakerTrips *obs.Counter
 	ejections    *obs.Counter
 	recoveries   *obs.Counter
@@ -159,7 +158,6 @@ func newClusterMetrics(r *obs.Registry) clusterMetrics {
 		forwardFails: r.Counter("cluster_forward_failures_total"),
 		hedges:       r.Counter("cluster_hedges_total"),
 		hedgeWins:    r.Counter("cluster_hedge_wins_total"),
-		dedupHits:    r.Counter("cluster_dedup_hits_total"),
 		breakerTrips: r.Counter("cluster_breaker_trips_total"),
 		ejections:    r.Counter("cluster_ejections_total"),
 		recoveries:   r.Counter("cluster_recoveries_total"),
@@ -184,20 +182,7 @@ type Cluster struct {
 	holdMu sync.Mutex
 	holds  map[string]time.Time
 
-	// Singleflight by request ID: hedge legs and client retries carrying
-	// the same rid share one upstream request instead of multiplying
-	// load on a struggling fleet.
-	flightMu sync.Mutex
-	flights  map[string]*flight
-
 	lat latencyRing
-}
-
-// flight is one in-progress deduplicated forward.
-type flight struct {
-	done chan struct{}
-	res  Result
-	err  error
 }
 
 // New validates the configuration and builds the cluster layer. The
@@ -230,7 +215,6 @@ func New(cfg Config) (*Cluster, error) {
 		breakers: make(map[string]*Breaker, len(cfg.Peers)),
 		m:        newClusterMetrics(cfg.Obs),
 		holds:    make(map[string]time.Time),
-		flights:  make(map[string]*flight),
 	}
 	c.lat.init(256)
 	var remotes []string
@@ -346,8 +330,7 @@ type DoRequest struct {
 	// the raw query string to append, if any.
 	Path  string
 	Query string
-	// RID is the request ID: threaded to the peer as X-Request-ID and
-	// used to deduplicate concurrent identical forwards.
+	// RID is the request ID, threaded to the peer as X-Request-ID.
 	RID string
 	// Depth is the incoming request's forward depth; the outgoing hop
 	// carries Depth+1.
@@ -378,39 +361,12 @@ type Result struct {
 }
 
 // Do forwards the request to the first eligible candidate peer, hedging
-// to a backup replica when the primary is slow, rotating to a different
-// peer on retryable failure, and deduplicating concurrent calls that
-// share a request ID. It returns ErrNoPeers (possibly wrapped) when no
-// candidate is currently eligible — the caller's cue to degrade to local
-// serving.
+// to a backup replica when the primary is slow and rotating to a different
+// peer on retryable failure. Every call is its own forward: two calls that
+// share a request ID still carry their own bodies and get their own
+// answers. It returns ErrNoPeers (possibly wrapped) when no candidate is
+// currently eligible — the caller's cue to degrade to local serving.
 func (c *Cluster) Do(ctx context.Context, req DoRequest) (Result, error) {
-	if req.RID == "" {
-		return c.do(ctx, req)
-	}
-	c.flightMu.Lock()
-	if f, ok := c.flights[req.RID]; ok {
-		c.flightMu.Unlock()
-		c.m.dedupHits.Inc()
-		select {
-		case <-f.done:
-			return f.res, f.err
-		case <-ctx.Done():
-			return Result{}, crerr.Canceled(ctx.Err())
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[req.RID] = f
-	c.flightMu.Unlock()
-	f.res, f.err = c.do(ctx, req)
-	c.flightMu.Lock()
-	delete(c.flights, req.RID)
-	c.flightMu.Unlock()
-	close(f.done)
-	return f.res, f.err
-}
-
-// do is the retry-rotating forward loop.
-func (c *Cluster) do(ctx context.Context, req DoRequest) (Result, error) {
 	var res Result
 	lastFailed := ""
 	err := c.cfg.Retry.Do(ctx, func(ctx context.Context) error {
@@ -750,7 +706,6 @@ type Stats struct {
 	ForwardFails uint64      `json:"forward_failures"`
 	Hedges       uint64      `json:"hedges"`
 	HedgeWins    uint64      `json:"hedge_wins"`
-	DedupHits    uint64      `json:"dedup_hits"`
 	Peers        []PeerStats `json:"peers"`
 }
 
@@ -764,7 +719,6 @@ func (c *Cluster) Stats() Stats {
 		ForwardFails: c.m.forwardFails.Value(),
 		Hedges:       c.m.hedges.Value(),
 		HedgeWins:    c.m.hedgeWins.Value(),
-		DedupHits:    c.m.dedupHits.Value(),
 	}
 	now := time.Now()
 	for _, p := range c.ring.Peers() {

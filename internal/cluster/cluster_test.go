@@ -510,44 +510,52 @@ func TestClusterHedgeWinsOnSlowPrimary(t *testing.T) {
 	}
 }
 
-func TestClusterDedupesByRequestID(t *testing.T) {
-	var calls atomic.Int64
-	release := make(chan struct{})
+// TestClusterSharedRequestIDKeepsAnswersApart: two concurrent forwards
+// that carry the same client request ID but different bodies each get the
+// answer to their own body. The upstream echoes the body and holds every
+// call until both have arrived, so the two are in flight together; a
+// forward that joined the other's call would never arrive, and the 5 s
+// bound turns that into a failure instead of a hang.
+func TestClusterSharedRequestIDKeepsAnswersApart(t *testing.T) {
+	var arrived atomic.Int64
+	both := make(chan struct{})
 	rt := rtFunc(func(r *http.Request) (*http.Response, error) {
-		calls.Add(1)
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return nil, err
+		}
+		if arrived.Add(1) == 2 {
+			close(both)
+		}
 		select {
-		case <-release:
+		case <-both:
+		case <-time.After(5 * time.Second):
 		case <-r.Context().Done():
 			return nil, r.Context().Err()
 		}
-		return okResponse("ok"), nil
+		return okResponse(string(body)), nil
 	})
 	c := newTestCluster(t, []string{"http://self", "http://b"}, rt, nil)
-	req := DoRequest{Peers: []string{"http://b"}, Path: "/v1/estimate", RID: "same-rid"}
 
+	bodies := []string{`{"a":1}`, `{"b":2}`}
+	got := make([]string, len(bodies))
+	errs := make([]error, len(bodies))
 	var wg sync.WaitGroup
-	results := make([]error, 4)
-	for i := 0; i < 4; i++ {
+	for i, body := range bodies {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			_, results[i] = c.Do(context.Background(), req)
-		}(i)
+			res, err := c.Do(context.Background(), DoRequest{
+				Peers: []string{"http://b"}, Path: "/v1/estimate", RID: "shared", Body: []byte(body),
+			})
+			got[i], errs[i] = string(res.Body), err
+		}()
 	}
-	// Let the followers join the flight, then release the upstream call.
-	time.Sleep(50 * time.Millisecond)
-	close(release)
 	wg.Wait()
-	for i, err := range results {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
+	for i, body := range bodies {
+		if errs[i] != nil || got[i] != body {
+			t.Errorf("caller %d sent %s: got %q, error %v", i, body, got[i], errs[i])
 		}
-	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("upstream called %d times, want 1 (rid dedupe)", n)
-	}
-	if st := c.Stats(); st.DedupHits != 3 {
-		t.Fatalf("dedup hits = %d, want 3", st.DedupHits)
 	}
 }
 

@@ -216,9 +216,6 @@ func NewChunkReader(r io.Reader, limits ...StreamLimits) (*ChunkReader, error) {
 // Header returns the decoded stream header.
 func (cr *ChunkReader) Header() StreamHeader { return cr.hdr }
 
-// RowsRead returns the number of rows delivered so far.
-func (cr *ChunkReader) RowsRead() int64 { return cr.rowsRead }
-
 // SlicesRead returns the number of complete slices delivered so far.
 func (cr *ChunkReader) SlicesRead() int { return int(cr.rowsRead / int64(cr.hdr.Rows)) }
 

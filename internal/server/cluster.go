@@ -176,8 +176,8 @@ func (s *Server) forwardBatchGroup(ctx context.Context, g batchGroup, wire *Batc
 	}
 	rid := obs.RequestID(ctx)
 	if rid != "" {
-		// Distinct sub-batches of one request must not dedupe into each
-		// other, so the group index joins the flight key.
+		// The group index names each sub-batch of one request in the
+		// peer's logs.
 		rid = fmt.Sprintf("%s#g%d", rid, gi)
 	}
 	res, err := s.cfg.Cluster.Do(ctx, cluster.DoRequest{

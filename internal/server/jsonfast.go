@@ -1,7 +1,11 @@
 package server
 
 import (
+	"encoding/binary"
 	"io"
+	"math"
+	"math/big"
+	"math/bits"
 	"strconv"
 )
 
@@ -24,9 +28,15 @@ import (
 //     reproduces the message);
 //   - anything but JSON whitespace after the document.
 //
-// Numbers go through strconv.ParseFloat, as encoding/json decodes a
-// float64 field, so every accepted value is bit-identical to the
-// reference's by construction; FuzzDecodeRequest checks it.
+// encoding/json decodes a float64 field with strconv.ParseFloat, which
+// returns the correctly rounded double. The scanner reads each number
+// once, checking the grammar and building its decimal mantissa and
+// exponent in the same pass, and converts them itself when that is
+// certain to give the correctly rounded double too (see decimalFloat).
+// The correctly rounded double is unique, so such a value equals
+// ParseFloat's bit for bit; every other token goes to ParseFloat.
+// FuzzParseFloat checks the conversion against ParseFloat, and
+// FuzzDecodeRequest whole bodies against encoding/json.
 
 // decodeFast decodes the whole body b into er, or reports false and
 // leaves er untouched.
@@ -156,10 +166,18 @@ func (s *scanner) floats(c int) ([]float64, bool) {
 	}
 }
 
+// float scans a number as encoding/json decodes a float64 field: with the
+// value number read when decimalFloat can convert it, otherwise with
+// strconv.ParseFloat on the token.
 func (s *scanner) float() (float64, bool) {
-	tok, _ := s.number()
+	tok, man, exp10, long, _ := s.number()
 	if tok == nil {
 		return 0, false
+	}
+	if !long {
+		if f, ok := decimalFloat(man, exp10, tok[0] == '-'); ok {
+			return f, true
+		}
 	}
 	f, err := strconv.ParseFloat(string(tok), 64)
 	return f, err == nil
@@ -168,7 +186,7 @@ func (s *scanner) float() (float64, bool) {
 // integer scans an int the way encoding/json decodes one: a number token
 // without fraction or exponent, in range.
 func (s *scanner) integer() (int, bool) {
-	tok, integral := s.number()
+	tok, _, _, _, integral := s.number()
 	if tok == nil || !integral {
 		return 0, false
 	}
@@ -176,57 +194,259 @@ func (s *scanner) integer() (int, bool) {
 	return n, err == nil
 }
 
+// maxDigits is the most significant decimal digits a uint64 holds: 10^19
+// < 2^64.
+const maxDigits = 19
+
 // number scans one token of the JSON number grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, returning nil when the
-// input does not start with one. integral reports that the token has
-// neither fraction nor exponent. The byte after the token is left to the
-// caller's structure check, which rejects `01` or `1x`.
-func (s *scanner) number() (tok []byte, integral bool) {
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, returning a nil token
+// when the input does not start with one. The byte after the token is
+// left to the caller's structure check, which rejects `01` or `1x`.
+// integral reports that the token has neither fraction nor exponent.
+//
+// In the same pass it reads the token's magnitude as man × 10^exp10,
+// unless long: the token has more than maxDigits significant digits, of
+// which man holds only the first maxDigits. Integer digits are read one
+// at a time, fraction digits eight at a time while they fit in man. The
+// zeros that follow "0." only scale the value, so they move exp10 instead
+// of using up digits: a small magnitude such as 0.000123456789012345
+// keeps all its digits.
+func (s *scanner) number() (tok []byte, man uint64, exp10 int, long, integral bool) {
 	s.ws()
 	b, i := s.b, s.i
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
+	nd := 0 // significant digits seen
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if nd < maxDigits {
+				man = man*10 + uint64(b[i]-'0')
+			}
+			nd++
+		}
 	default:
-		return nil, false
+		return nil, 0, 0, false, false
 	}
 	integral = true
 	if i < len(b) && b[i] == '.' {
 		integral = false
-		if i+1 >= len(b) || !isDigit(b[i+1]) {
-			return nil, false
+		i++
+		frac := i
+		if man == 0 {
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+			exp10 = frac - i
 		}
-		i = digits(b, i+1)
+		for nd <= maxDigits-8 && len(b)-i >= 8 {
+			v := binary.LittleEndian.Uint64(b[i:])
+			if !eightDigits(v) {
+				break
+			}
+			man = man*1e8 + eightDigitValue(v)
+			nd += 8
+			exp10 -= 8
+			i += 8
+		}
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if nd < maxDigits {
+				man = man*10 + uint64(b[i]-'0')
+				exp10--
+			}
+			nd++
+		}
+		if i == frac {
+			return nil, 0, 0, false, false
+		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		integral = false
 		i++
+		neg := i < len(b) && b[i] == '-'
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
 		if i >= len(b) || !isDigit(b[i]) {
-			return nil, false
+			return nil, 0, 0, false, false
 		}
-		i = digits(b, i)
+		// Stop growing at 10000 as strconv does: the exponent cannot
+		// overflow, and it is the one ParseFloat reads, which is not
+		// the token's where leading zeros offset an exponent of 100000
+		// or more.
+		e := 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if neg {
+			exp10 -= e
+		} else {
+			exp10 += e
+		}
 	}
 	tok, s.i = b[s.i:i], i
-	return tok, integral
-}
-
-// digits returns the index of the first non-digit at or after i.
-func digits(b []byte, i int) int {
-	for i < len(b) && isDigit(b[i]) {
-		i++
-	}
-	return i
+	return tok, man, exp10, nd > maxDigits, integral
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// eightDigits reports whether the eight bytes of v are all ASCII digits:
+// each byte's high nibble is 3, and stays 3 when 6 is added.
+func eightDigits(v uint64) bool {
+	const hi = 0xF0F0F0F0F0F0F0F0
+	return v&hi|(v+0x0606060606060606)&hi>>4 == 0x3333333333333333
+}
+
+// eightDigitValue returns the number spelled by the eight ASCII digits of
+// v, the first in the low byte, in three multiplies: adjacent digits
+// combine into pairs, then the four pairs into one value.
+func eightDigitValue(v uint64) uint64 {
+	const pairs = 0x000000FF000000FF
+	v -= 0x3030303030303030
+	v = v*10 + v>>8 // byte 2k: 10×digit 2k + digit 2k+1
+	return ((v&pairs)*(100+1000000<<32) + (v>>16&pairs)*(1+10000<<32)) >> 32
+}
+
+// decimalFloat converts ±man × 10^exp10 in the two steps
+// strconv.ParseFloat takes, each of which answers only with the correctly
+// rounded double:
+//   - one multiply or divide, when man < 2^53 and |exp10| ≤ 22 make both
+//     factors exact doubles, so IEEE arithmetic rounds the product once;
+//   - otherwise Eisel–Lemire.
+//
+// It reports false wherever Eisel–Lemire cannot decide; the caller then
+// hands the token to ParseFloat.
+func decimalFloat(man uint64, exp10 int, neg bool) (float64, bool) {
+	if man < 1<<53 && -22 <= exp10 && exp10 <= 22 {
+		f := float64(man)
+		if exp10 < 0 {
+			f /= exactPow10[-exp10]
+		} else {
+			f *= exactPow10[exp10]
+		}
+		if neg {
+			f = -f
+		}
+		return f, true
+	}
+	return eiselLemire(man, exp10, neg)
+}
+
+// exactPow10 holds the powers of ten that are exact doubles.
+var exactPow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// eiselLemire returns ±man × 10^exp10 rounded to the nearest double, ties
+// to even, by the Eisel–Lemire algorithm (Lemire, "Number Parsing at a
+// Gigabyte per Second", 2021). It reports false when the truncated
+// 128-bit product cannot decide the rounding, and when the result is
+// subnormal or infinite or exp10 is outside the table: strconv handles
+// those.
+func eiselLemire(man uint64, exp10 int, neg bool) (float64, bool) {
+	if man == 0 {
+		if neg {
+			return math.Copysign(0, -1), true
+		}
+		return 0, true
+	}
+	if exp10 < pow10Min || exp10 > pow10Max {
+		return 0, false
+	}
+	// Normalize man to a set top bit. 217706/2^16 ≈ log2(10) gives the
+	// product's binary exponent, with float64's bias of 1023.
+	lz := bits.LeadingZeros64(man)
+	man <<= uint(lz)
+	exp2 := uint64(217706*exp10>>16+64+1023) - uint64(lz)
+
+	// The table rounds 10^exp10 down, so the true product lies below
+	// hi:lo + man. Only when that can carry into the 9 bits under the 55
+	// kept, all ones, does the table's low word matter; if the wider
+	// product is still that close, the rounding is undecided.
+	pow := &pow10Table[exp10-pow10Min]
+	hi, lo := bits.Mul64(man, pow[0])
+	if hi&0x1FF == 0x1FF && lo+man < man {
+		midHi, midLo := bits.Mul64(man, pow[1])
+		lo += midHi
+		if lo < midHi {
+			hi++
+		}
+		if hi&0x1FF == 0x1FF && lo+1 == 0 && midLo+man < man {
+			return 0, false
+		}
+	}
+
+	// Keep 54 bits, the double's 53 and one to round with. A product
+	// whose bits below those are all zero may be exactly halfway, which
+	// the truncated product cannot tell from just above.
+	msb := hi >> 63
+	m := hi >> (msb + 9)
+	exp2 -= 1 ^ msb
+	if lo == 0 && hi&0x1FF == 0 && m&3 == 1 {
+		return 0, false
+	}
+	m = (m + m&1) >> 1
+	if m>>53 != 0 { // rounding carried into a 54th bit
+		m >>= 1
+		exp2++
+	}
+	if exp2-1 >= 0x7FF-1 { // subnormal or zero (exp2 0 or wrapped below), or infinite
+		return 0, false
+	}
+	f := exp2<<52 | m&(1<<52-1)
+	if neg {
+		f |= 1 << 63
+	}
+	return math.Float64frombits(f), true
+}
+
+// pow10Min and pow10Max bound the table's exponents, as strconv's does:
+// past them every 19-digit mantissa underflows to zero or overflows.
+const (
+	pow10Min = -348
+	pow10Max = 347
+)
+
+// pow10Table holds 10^e for e in [pow10Min, pow10Max], row e-pow10Min,
+// as a 128-bit mantissa with its top bit set, rounded down: {high 64
+// bits, low 64 bits}. It is built once, from exact big.Int arithmetic.
+var pow10Table = func() (t [pow10Max - pow10Min + 1][2]uint64) {
+	one, ten := big.NewInt(1), big.NewInt(10)
+	p := big.NewInt(1) // 10^e
+	var m big.Int
+	for e := 0; e <= -pow10Min; e++ {
+		if e <= pow10Max {
+			// 10^e is an integer: shift it to 128 bits.
+			if n := p.BitLen() - 128; n > 0 {
+				m.Rsh(p, uint(n))
+			} else {
+				m.Lsh(p, uint(-n))
+			}
+			t[e-pow10Min] = halves(&m)
+		}
+		if e > 0 {
+			// 2^(L-1) < 10^e < 2^L for L its bit length, so
+			// ⌊2^(127+L) / 10^e⌋ lies in [2^127, 2^128).
+			m.Lsh(one, uint(127+p.BitLen()))
+			t[-e-pow10Min] = halves(m.Quo(&m, p))
+		}
+		p.Mul(p, ten)
+	}
+	return t
+}()
+
+// halves splits a 128-bit x into its high and low 64 bits.
+func halves(x *big.Int) [2]uint64 {
+	var b [16]byte
+	x.FillBytes(b[:])
+	return [2]uint64{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+}
 
 func (s *scanner) text() (string, bool) {
 	b, ok := s.str()

@@ -19,6 +19,7 @@
 #   internal/stats      FuzzQuantizedEntropy         (dense and hashed bin counters vs the map reference)
 #   internal/stats      FuzzHistogramEntropy         (histogram entropy: no panic, split and f32 invariance)
 #   internal/server     FuzzDecodeRequest            (JSON fast path vs encoding/json)
+#   internal/server     FuzzParseFloat               (one-pass number scan and conversion vs strconv.ParseFloat)
 #   internal/linalg     FuzzPairSweepF64             (pair sweep vs scalar sweep vs full-row fold)
 #   internal/linalg     FuzzFusedBlockMoments        (AVX2 second-moment update vs scalar loop vs SecondMomentLower)
 #   snapshot            FuzzSnapshotDecode           (durable-model envelope decoder)
