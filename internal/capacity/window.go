@@ -26,7 +26,6 @@ type Window struct {
 	levels     map[int]*levelAgg
 	ticks      uint64
 	samples    uint64
-	lastLevel  int
 }
 
 type levelAgg struct {
@@ -81,7 +80,6 @@ func (w *Window) Tick(now time.Time, served uint64, inflight int) {
 	agg.sumX += float64(delta) / dt
 	agg.samples++
 	w.samples++
-	w.lastLevel = level
 }
 
 // WindowLevel is one concurrency level's aggregated online throughput.
@@ -110,13 +108,6 @@ func (w *Window) Samples() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.samples
-}
-
-// LastLevel returns the concurrency level of the most recent sample.
-func (w *Window) LastLevel() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastLevel
 }
 
 // DistinctLevels returns how many distinct busy levels have samples.

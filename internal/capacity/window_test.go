@@ -25,9 +25,6 @@ func TestWindowTickAccumulation(t *testing.T) {
 	if w.DistinctLevels() != 2 {
 		t.Fatalf("distinct levels = %d, want 2", w.DistinctLevels())
 	}
-	if w.LastLevel() != 8 {
-		t.Fatalf("last level = %d, want 8", w.LastLevel())
-	}
 	snap := w.Snapshot()
 	if snap.Ticks != 4 {
 		t.Fatalf("ticks = %d, want 4", snap.Ticks)

@@ -32,9 +32,6 @@ type Interval struct {
 // Contains reports whether y lies in [Lo, Hi].
 func (iv Interval) Contains(y float64) bool { return y >= iv.Lo && y <= iv.Hi }
 
-// Width returns Hi − Lo.
-func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
 // Config tunes the split.
 type Config struct {
 	// Lambda is the miscoverage level (default 0.05 for 95% intervals).

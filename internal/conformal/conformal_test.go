@@ -79,8 +79,8 @@ func TestIntervalShape(t *testing.T) {
 	if iv.Lo > iv.Point || iv.Hi < iv.Point {
 		t.Errorf("interval %v not centered on point", iv)
 	}
-	if math.Abs(iv.Width()-2*m.Radius()) > 1e-12 {
-		t.Errorf("width %g != 2·radius %g", iv.Width(), m.Radius())
+	if width := iv.Hi - iv.Lo; math.Abs(width-2*m.Radius()) > 1e-12 {
+		t.Errorf("width %g != 2·radius %g", width, m.Radius())
 	}
 	if !iv.Contains(iv.Point) {
 		t.Error("interval excludes its own point")

@@ -332,24 +332,3 @@ func OutOfSample(m baselines.Method, trainBufs, testBufs []*grid.Buffer, comp co
 	}
 	return stats.Median(apes), pairs, nil
 }
-
-// InSamplePairs runs a single train/test split within one field's buffers
-// and returns predicted-vs-actual pairs with conformal intervals, the
-// in-sample panels of Fig. 6.
-func InSamplePairs(m baselines.Method, bufs []*grid.Buffer, comp compressors.Compressor, eps float64, testFraction float64, seed int64, cache *CRCache) (float64, []PredPair, error) {
-	n := len(bufs)
-	if testFraction <= 0 || testFraction >= 1 {
-		testFraction = 0.3
-	}
-	nTest := int(math.Round(testFraction * float64(n)))
-	if nTest < 1 {
-		nTest = 1
-	}
-	if nTest >= n {
-		nTest = n - 1
-	}
-	perm := rand.New(rand.NewSource(seed)).Perm(n)
-	test := pick(bufs, perm[:nTest])
-	train := pick(bufs, perm[nTest:])
-	return OutOfSample(m, train, test, comp, eps, cache)
-}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/crestlab/crest/internal/baselines"
@@ -186,7 +187,10 @@ func TestInSamplePairsSplits(t *testing.T) {
 	comp := compressors.MustNew("szinterp")
 	cache := NewCRCache()
 	m := baselines.NewProposed(core.Config{})
-	medape, pairs, err := InSamplePairs(m, field.Buffers, comp, 1e-3, 0.25, 3, cache)
+	// A random quarter of the field's buffers is the test set.
+	perm := rand.New(rand.NewSource(3)).Perm(len(field.Buffers))
+	nTest := len(perm) / 4
+	medape, pairs, err := OutOfSample(m, pick(field.Buffers, perm[nTest:]), pick(field.Buffers, perm[:nTest]), comp, 1e-3, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

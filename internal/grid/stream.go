@@ -383,8 +383,7 @@ type ChunkWriter struct {
 }
 
 // NewChunkWriter writes the stream header and returns a writer. chunkRows
-// is the number of rows per chunk frame (≤ 0 selects 32, the panel height
-// of the streaming Gram pass).
+// is the number of rows per chunk frame (≤ 0 selects 32).
 func NewChunkWriter(w io.Writer, hdr StreamHeader, chunkRows int) (*ChunkWriter, error) {
 	if hdr.Rows <= 0 || hdr.Cols <= 0 || hdr.Slices < 0 {
 		return nil, fmt.Errorf("%w: stream shape %dx%dx%d", crerr.ErrInvalidBuffer, hdr.Slices, hdr.Rows, hdr.Cols)

@@ -71,9 +71,8 @@ func BenchmarkCholeskySolve(b *testing.B) {
 	}
 }
 
-// Gram benchmarks: the naive per-pair scalar loop (the pre-kernel
-// predictor hot path) against the register-blocked panel kernel, at the
-// shape of a 256×256 buffer with k=8 (B=1024 blocks of k²=64).
+// benchGramRows carves n standard-normal rows of length k from one
+// backing slice, the layout the predictors' scratch uses.
 func benchGramRows(n, k int) [][]float64 {
 	rng := rand.New(rand.NewSource(9))
 	v := make([][]float64, n)
@@ -85,34 +84,6 @@ func benchGramRows(n, k int) [][]float64 {
 		}
 	}
 	return v
-}
-
-func BenchmarkGramNaive1024x64(b *testing.B) {
-	v := benchGramRows(1024, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		naiveGram(v)
-	}
-}
-
-func BenchmarkGramTiled1024x64(b *testing.B) {
-	v := benchGramRows(1024, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Gram(v)
-	}
-}
-
-func BenchmarkGramPanel32x1024x64(b *testing.B) {
-	v := benchGramRows(1024, 64)
-	out := make([]float64, 32*1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GramPanel(v, 0, 32, out)
-	}
 }
 
 func BenchmarkSecondMomentLower1024x64(b *testing.B) {

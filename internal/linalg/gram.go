@@ -1,20 +1,22 @@
 package linalg
 
-// gram.go implements the cache-blocked Gram-matrix kernels behind the
-// fused predictor pass (§IV-C): the pairwise SD/SC loop consumes rows of
-// G = V·Vᵀ for the B×k² standardized block matrix V, and the block
-// second-moment matrix Σ = (1/B)·VᵀV feeds the eigendecomposition.
+// gram.go implements the cache-blocked Gram-matrix kernel behind the
+// fused predictor pass (§IV-C): the pairwise SD/SC pass sweeps the lower
+// triangle of G = V·Vᵀ for the B×k² standardized block matrix V, one
+// block of rows at a time (GramBlockT fills it, PairSweepF64 folds it),
+// and the block second-moment matrix Σ = (1/B)·VᵀV feeds the
+// eigendecomposition.
 //
 // Determinism contract: every output element is accumulated as a single
 // forward-order sum (index 0 → n−1) with one accumulator, exactly the
 // order of the textbook scalar loop `for x { dot += a[x]*b[x] }`. Because
 // IEEE-754 multiplication commutes exactly and the summation order is
 // fixed, every element is bit-identical to the naive per-pair loop — and
-// to its mirrored element, so symmetric reuse is bit-safe. Speed comes
-// from cache blocking and instruction-level parallelism *across*
-// independent output elements (register-blocked rows, and on amd64 SIMD
-// lanes spanning adjacent output columns — see GramBlockT), never from
-// splitting one element's accumulation chain.
+// to its mirrored element, so filling only the lower triangle is
+// bit-safe. Speed comes from cache blocking and instruction-level
+// parallelism *across* independent output elements (register-blocked
+// rows, and on amd64 SIMD lanes spanning adjacent output columns — see
+// GramBlockT), never from splitting one element's accumulation chain.
 //
 // The float64 kernels honor that contract even in the vector path: the
 // AVX2 kernel broadcasts a[i][x] against four adjacent columns of the
@@ -25,39 +27,6 @@ package linalg
 // instruction sequence per element — but are only ULP-equivalent, not
 // bit-equal, to the float32 scalar fallback. The f32-vs-f64 differential
 // suite in internal/predictors bounds that divergence.
-
-// gramPanelRows is the default panel height used by Gram: the number of
-// left-hand rows processed per pass over V. At k² = 64 a panel is
-// 4·64·8 = 2 KiB of left-hand vectors, comfortably L1-resident, while the
-// 4-row register block gives four independent accumulation chains per
-// column.
-const gramPanelRows = 4
-
-// GramPanel computes rows [lo, hi) of the Gram matrix G = V·Vᵀ over the
-// row set v: out[(i−lo)·len(v) + j] = ⟨v[i], v[j]⟩ for lo ≤ i < hi and
-// 0 ≤ j < len(v). All rows of v must share one length; out must hold at
-// least (hi−lo)·len(v) elements. Each dot product is a single
-// forward-order accumulation, so the result is bit-identical to the
-// naive scalar loop regardless of how callers tile or parallelize the
-// panels.
-func GramPanel[F Float](v [][]F, lo, hi int, out []F) {
-	GramBlock(v, lo, hi, 0, len(v), out, len(v))
-}
-
-// GramBlock computes the rectangular Gram block
-// out[(i−lo)·stride + j] = ⟨v[i], v[j]⟩ for i in [lo, hi), j in [jlo, jhi)
-// with the given output row stride. It is the register-blocked scalar
-// kernel under GramPanel and GramInto, exported so callers can tile a
-// symmetric fill themselves (e.g. parallelize panels of the lower
-// triangle). Hot paths that can afford a transposed copy of v should
-// prefer GramBlockT, which dispatches to the SIMD kernel when available.
-func GramBlock[F Float](v [][]F, lo, hi, jlo, jhi int, out []F, stride int) {
-	k, ok := checkGramBounds(v, lo, hi, jlo, jhi, out, stride)
-	if !ok {
-		return
-	}
-	gramBlockScalar(v, k, lo, hi, jlo, jhi, out, stride)
-}
 
 // checkGramBounds validates a Gram block request and returns the shared
 // row length. ok=false flags an empty (but valid) block.
@@ -87,7 +56,8 @@ func checkGramBounds[F Float](v [][]F, lo, hi, jlo, jhi int, out []F, stride int
 }
 
 // gramBlockScalar is the portable register-blocked kernel behind
-// GramBlock; bounds are already validated.
+// GramBlockT: out[(i−lo)·stride + j] = ⟨v[i], v[j]⟩ for i in [lo, hi),
+// j in [jlo, jhi), rows of length k; bounds are already validated.
 func gramBlockScalar[F Float](v [][]F, k, lo, hi, jlo, jhi int, out []F, stride int) {
 	i := lo
 	// 4-row register block: one pass over columns j streams v[j] once
@@ -133,16 +103,19 @@ func gramBlockScalar[F Float](v [][]F, k, lo, hi, jlo, jhi int, out []F, stride 
 	}
 }
 
-// GramBlockT is GramBlock with a caller-maintained transposed copy of
-// the full row set: vt[x·len(v) + j] = v[j][x] (see TransposeInto). The
-// transpose turns the column dimension into the contiguous one, which
-// lets the amd64 SIMD kernel broadcast a[i][x] against adjacent output
-// columns — vector lanes span *independent output elements*, so each
-// element keeps the scalar loop's single forward accumulation chain and
-// the float64 result stays bit-identical to GramBlock. Rows v[lo..hi)
-// must additionally lie at a constant stride in one backing array (the
-// layout the predictors' pooled scratch carves); when they don't, or on
-// platforms without the kernel, GramBlockT falls back to GramBlock.
+// GramBlockT computes the rectangular Gram block
+// out[(i−lo)·stride + j] = ⟨v[i], v[j]⟩ for i in [lo, hi), j in
+// [jlo, jhi), given a caller-maintained transposed copy of the full row
+// set: vt[x·len(v) + j] = v[j][x] (see TransposeInto). All rows of v
+// must share one length. The transpose turns the column dimension into
+// the contiguous one, which lets the amd64 SIMD kernel broadcast a[i][x]
+// against adjacent output columns — vector lanes span *independent
+// output elements*, so each element keeps the scalar loop's single
+// forward accumulation chain and the float64 result stays bit-identical
+// to the naive per-pair loop. Rows v[lo..hi) must additionally lie at a
+// constant stride in one backing array (the layout the predictors'
+// pooled scratch carves); when they don't, or on platforms without the
+// kernel, GramBlockT runs the portable register-blocked kernel.
 func GramBlockT[F Float](v [][]F, vt []F, lo, hi, jlo, jhi int, out []F, stride int) {
 	k, ok := checkGramBounds(v, lo, hi, jlo, jhi, out, stride)
 	if !ok {
@@ -203,43 +176,6 @@ func TransposeInto[F Float](v [][]F, dst []F) {
 			}
 		}
 	}
-}
-
-// Gram returns the full symmetric Gram matrix G = V·Vᵀ of the row set v.
-// It computes only the lower triangle (in register-blocked panels) and
-// mirrors it, which is bit-safe because ⟨v[i], v[j]⟩ and ⟨v[j], v[i]⟩
-// round identically under the forward-order contract above. Intended for
-// tests, benchmarks and small row sets; large passes should stream
-// GramPanel panels instead of materializing the B×B matrix.
-func Gram(v [][]float64) *Matrix {
-	n := len(v)
-	if n == 0 {
-		panic("linalg: Gram of empty row set")
-	}
-	m := NewMatrix(n, n)
-	GramInto(v, m.Data)
-	return m
-}
-
-// GramInto is Gram with caller-provided storage: out must hold n² elements
-// for n = len(v) and receives the full symmetric matrix row-major. It lets
-// hot paths reuse a pooled buffer instead of allocating B² floats per call.
-func GramInto(v [][]float64, out []float64) {
-	n := len(v)
-	if len(out) < n*n {
-		panic("linalg: GramInto output too short")
-	}
-	for lo := 0; lo < n; lo += gramPanelRows {
-		hi := lo + gramPanelRows
-		if hi > n {
-			hi = n
-		}
-		// Rectangular block covering each panel row's lower triangle
-		// (plus the within-panel upper corner of the diagonal block,
-		// which is valid Gram output either way).
-		GramBlock(v, lo, hi, 0, hi, out[lo*n:], n)
-	}
-	MirrorLowerUpper(out, n)
 }
 
 // MirrorLowerUpper copies the strict lower triangle of the n×n row-major

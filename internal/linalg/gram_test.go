@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -36,10 +37,50 @@ func randRows(n, k int, seed int64) [][]float64 {
 	return v
 }
 
-// TestGramMatchesNaiveBitIdentical: the tiled symmetric kernel must be
-// bit-identical to the naive per-pair loop across shapes, including
-// ragged edges where the row count is not a multiple of the register
-// block or panel height.
+// carved copies rows into one backing array at a constant stride, the
+// layout that lets GramBlockT run the SIMD kernel; randRows' separately
+// allocated rows take the portable kernel.
+func carved(v [][]float64) ([][]float64, []float64) {
+	n, k := len(v), len(v[0])
+	backing := make([]float64, n*k)
+	out := make([][]float64, n)
+	for i := range v {
+		out[i] = backing[i*k : (i+1)*k]
+		copy(out[i], v[i])
+	}
+	vt := make([]float64, n*k)
+	TransposeInto(out, vt)
+	return out, vt
+}
+
+// gramLayouts returns the row set both ways GramBlockT takes it: as
+// randRows' separately allocated rows (the portable kernel) and carved
+// at one stride (the SIMD kernel where the CPU has it), with the
+// transpose both share.
+func gramLayouts(n, k int, seed int64) (layouts [2][][]float64, vt []float64) {
+	scattered := randRows(n, k, seed)
+	strided, vt := carved(scattered)
+	return [2][][]float64{scattered, strided}, vt
+}
+
+// checkGramWindow fails unless out[(i−lo)·stride + j] holds the naive
+// ⟨v[i], v[j]⟩ bit for bit over rows [lo, hi) and columns [jlo, jhi).
+func checkGramWindow(t *testing.T, what string, want *Matrix, lo, hi, jlo, jhi int, out []float64, stride int) {
+	t.Helper()
+	for i := lo; i < hi; i++ {
+		for j := jlo; j < jhi; j++ {
+			if got := out[(i-lo)*stride+j]; got != want.At(i, j) {
+				t.Fatalf("%s: G[%d,%d] = %x, naive = %x", what, i, j, got, want.At(i, j))
+			}
+		}
+	}
+}
+
+// TestGramMatchesNaiveBitIdentical: on both row layouts, the lower
+// triangle filled in 4-row panels (the predictors' fill, with a ragged
+// last panel) must be bit-identical to the naive per-pair loop across
+// shapes whose row count and length are not multiples of the register
+// block or the lane width.
 func TestGramMatchesNaiveBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		n, k int
@@ -47,61 +88,63 @@ func TestGramMatchesNaiveBitIdentical(t *testing.T) {
 		{1, 1}, {2, 3}, {3, 4}, {4, 4}, {5, 7}, {7, 16},
 		{8, 64}, {9, 64}, {16, 64}, {17, 5}, {33, 9}, {64, 64}, {65, 3},
 	} {
-		v := randRows(tc.n, tc.k, int64(1000*tc.n+tc.k))
-		want := naiveGram(v)
-		got := Gram(v)
-		for i := 0; i < tc.n; i++ {
-			for j := 0; j < tc.n; j++ {
-				if got.At(i, j) != want.At(i, j) {
-					t.Fatalf("n=%d k=%d: Gram[%d,%d] = %x, naive = %x",
-						tc.n, tc.k, i, j, got.At(i, j), want.At(i, j))
-				}
+		n := tc.n
+		layouts, vt := gramLayouts(n, tc.k, int64(1000*n+tc.k))
+		want := naiveGram(layouts[0])
+		for l, v := range layouts {
+			out := make([]float64, n*n)
+			for lo := 0; lo < n; lo += 4 {
+				hi := min(lo+4, n)
+				GramBlockT(v, vt, lo, hi, 0, hi, out[lo*n:], n)
+			}
+			for i := 0; i < n; i++ {
+				checkGramWindow(t, fmt.Sprintf("layout %d n=%d k=%d row %d", l, n, tc.k, i), want, i, i+1, 0, i+1, out[i*n:], n)
 			}
 		}
 	}
 }
 
-// TestGramPanelMatchesNaive: arbitrary panels [lo, hi), including
-// heights that straddle the 4-row register block raggedly, must
-// reproduce the naive rows bit for bit.
+// TestGramPanelMatchesNaive: arbitrary row panels [lo, hi) and column
+// windows [jlo, jhi), including heights that straddle the 4-row
+// register block raggedly and empty ones, must reproduce the naive
+// entries bit for bit on both row layouts.
 func TestGramPanelMatchesNaive(t *testing.T) {
 	const n, k = 23, 11
-	v := randRows(n, k, 42)
-	want := naiveGram(v)
-	for _, p := range []struct{ lo, hi int }{
-		{0, n}, {0, 1}, {0, 4}, {0, 5}, {3, 10}, {19, 23}, {22, 23}, {5, 5},
-	} {
-		rows := p.hi - p.lo
-		out := make([]float64, rows*n)
-		GramPanel(v, p.lo, p.hi, out)
-		for r := 0; r < rows; r++ {
-			for j := 0; j < n; j++ {
-				if out[r*n+j] != want.At(p.lo+r, j) {
-					t.Fatalf("panel [%d,%d): out[%d,%d] = %x, naive = %x",
-						p.lo, p.hi, r, j, out[r*n+j], want.At(p.lo+r, j))
-				}
-			}
+	layouts, vt := gramLayouts(n, k, 42)
+	want := naiveGram(layouts[0])
+	for l, v := range layouts {
+		for _, p := range []struct{ lo, hi, jlo, jhi int }{
+			{0, n, 0, n}, {0, 1, 0, n}, {0, 4, 0, n}, {0, 5, 7, n}, {3, 10, 0, 19},
+			{19, 23, 2, 23}, {22, 23, 22, 23}, {5, 5, 0, n}, {3, 10, 4, 4},
+		} {
+			out := make([]float64, max(p.hi-p.lo, 1)*n)
+			GramBlockT(v, vt, p.lo, p.hi, p.jlo, p.jhi, out, n)
+			checkGramWindow(t, fmt.Sprintf("layout %d panel %+v", l, p), want, p.lo, p.hi, p.jlo, p.jhi, out, n)
 		}
 	}
 }
 
-// TestGramSymmetryBitIdentical: the mirrored upper triangle must equal
-// the computed lower triangle exactly (the property that makes
-// symmetric reuse bit-safe).
+// TestGramSymmetryBitIdentical: a whole fill must be bitwise symmetric,
+// G[i][j] == G[j][i], on both row layouts — the property that lets the
+// pairwise pass fill and read only the lower triangle.
 func TestGramSymmetryBitIdentical(t *testing.T) {
-	v := randRows(31, 13, 7)
-	g := Gram(v)
-	for i := 0; i < 31; i++ {
-		for j := 0; j < 31; j++ {
-			if g.At(i, j) != g.At(j, i) {
-				t.Fatalf("Gram[%d,%d] != Gram[%d,%d]", i, j, j, i)
+	const n = 31
+	layouts, vt := gramLayouts(n, 13, 7)
+	for l, v := range layouts {
+		g := make([]float64, n*n)
+		GramBlockT(v, vt, 0, n, 0, n, g, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < i; j++ {
+				if g[i*n+j] != g[j*n+i] {
+					t.Fatalf("layout %d: G[%d,%d] != G[%d,%d]", l, i, j, j, i)
+				}
 			}
 		}
 	}
 }
 
 func TestGramPanelShapePanics(t *testing.T) {
-	v := randRows(6, 4, 3)
+	v, vt := carved(randRows(6, 4, 3))
 	mustPanic := func(name string, fn func()) {
 		defer func() {
 			if recover() == nil {
@@ -111,15 +154,18 @@ func TestGramPanelShapePanics(t *testing.T) {
 		fn()
 	}
 	mustPanic("short output", func() {
-		GramPanel(v, 0, 6, make([]float64, 6*6-1))
+		GramBlockT(v, vt, 0, 6, 0, 6, make([]float64, 6*6-1), 6)
 	})
 	mustPanic("bad bounds", func() {
-		GramPanel(v, 0, 7, make([]float64, 7*6))
+		GramBlockT(v, vt, 0, 7, 0, 6, make([]float64, 7*6), 6)
+	})
+	mustPanic("short transpose", func() {
+		GramBlockT(v, vt[:6*4-1], 0, 6, 0, 6, make([]float64, 6*6), 6)
 	})
 	ragged := randRows(6, 4, 3)
 	ragged[3] = ragged[3][:3]
 	mustPanic("unequal rows", func() {
-		GramPanel(ragged, 0, 6, make([]float64, 6*6))
+		GramBlockT(ragged, vt, 0, 6, 0, 6, make([]float64, 6*6), 6)
 	})
 }
 

@@ -63,10 +63,7 @@ func TestMulVecAndMul(t *testing.T) {
 	if y[0] != -2 || y[1] != -2 {
 		t.Errorf("MulVec = %v", y)
 	}
-	b := a.Transpose()
-	if b.Rows != 3 || b.At(2, 1) != 6 {
-		t.Error("Transpose wrong")
-	}
+	b := transpose(a)
 	c := Mul(a, b) // 2x2
 	// c[0][0] = 1+4+9 = 14
 	if c.At(0, 0) != 14 || c.At(1, 1) != 77 || c.At(0, 1) != 32 {
@@ -175,7 +172,7 @@ func TestCholeskySolve(t *testing.T) {
 			}
 		}
 		// L·Lᵀ reconstructs A.
-		lt := l.Transpose()
+		lt := transpose(l)
 		rec := Mul(l, lt)
 		for i := range a.Data {
 			if math.Abs(rec.Data[i]-a.Data[i]) > 1e-8*(1+math.Abs(a.Data[i])) {
@@ -275,7 +272,7 @@ func TestEigenOrthogonality(t *testing.T) {
 		n := int(nRaw%10) + 2
 		a := randSym(n, rng)
 		_, v := SymEigen(a)
-		vt := v.Transpose()
+		vt := transpose(v)
 		id := Mul(vt, v)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -293,4 +290,15 @@ func TestEigenOrthogonality(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// transpose returns mᵀ.
+func transpose(m *Matrix) *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Set(j, i, m.At(i, j))
+		}
+	}
+	return t
 }

@@ -112,17 +112,6 @@ func Mul(a, b *Matrix) *Matrix {
 	return c
 }
 
-// Transpose returns Mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
 // ErrNotSPD reports a matrix that is not symmetric positive definite.
 var ErrNotSPD = errors.New("linalg: matrix not symmetric positive definite")
 

@@ -12,34 +12,42 @@ import "math"
 //
 // summed per block as Σ ds, Σ ds·de and Σ ds·|rho| over its partners.
 //
-// The float64 path (PairSweepF64) is bit-identical to a serial fold of
-// each full Gram row in j order, which is the reference it is tested
-// against. The float32 path (PairReduceF32) has no bitwise obligation:
-// it multiplies by a precomputed 1/sd instead of dividing and vectorizes
-// eight pairs at a time on amd64.
+// PairSweepF64 is the one pass production runs, for both element types:
+// the float32 pipeline widens each Gram row to float64 before the sweep.
+// It is bit-identical to a serial fold of each full Gram row in j order,
+// which is the reference it is tested against. PairReduceF32, the
+// earlier float32 full-row fold in float32 lanes, is kept only for the
+// benchmark's kernel replay.
 
-// PairSweepF64 computes, for every block i of the B = len(posR) blocks,
-// the three pairwise sums over all partners j ≠ i:
+// PairSweepF64 sweeps rows [lo, hi) of the strict lower triangle of the
+// Gram matrix G[i][j] = ⟨v_i, v_j⟩ over the B = len(posR) blocks. Row
+// i's entries G[i][0…i−1] are read from panel[(i−lo)·ld : (i−lo)·ld+i];
+// nothing else of panel is read. rho is 0 unless sd[i] > 0 and
+// sd[j] > 0, and k2 is the element count of one block, which divides
+// each dot product in the covariance.
+//
+// Callers sweep every row once, in blocks of ascending rows from row 0,
+// and then hold for every block i the three sums over all partners
+// j ≠ i:
 //
 //	sumDs[i]   = Σ ds(i,j)
 //	sumDsDe[i] = Σ ds(i,j)·de(i,j)
 //	sumDsV[i]  = Σ ds(i,j)·|rho(i,j)|
 //
-// G[i][j] = ⟨v_i, v_j⟩ is read from the strict lower triangle of gram,
-// the B×B row-major float64 Gram matrix; entries on and above the
-// diagonal are never read. rho is 0 unless sd[i] > 0 and sd[j] > 0,
-// and k2 is the element count of one block, which divides each dot
-// product in the covariance. The three sum slices are overwritten.
+// Sweeping row i overwrites block i's sums with its own terms
+// j = 0…i−1 and adds each term to partner j's sums, so entries of the
+// sum slices not yet swept need no initial value.
 //
 // Every sum carries the bits of the serial fold j = 0…B−1 over the full
 // symmetric row i, although the sweep visits each unordered pair once:
 //
 //   - Each term is bitwise symmetric in (i, j). |a−b|, (n2ᵢ+n2ⱼ)−2G,
 //     G·(1/k²)−mᵢmⱼ and sdᵢ·sdⱼ all commute, and G has one copy per pair.
-//   - The sweep runs over rows i = 0…B−1 in order. Row i folds its own
-//     terms j = 0…i−1 serially and adds each one to partner j's sum with
-//     one add. So block i's sum receives partners 0…i−1 while the sweep
-//     is at row i, and then i+1…B−1 from the later rows, in that order.
+//   - The rows run i = 0…B−1 in order. Row i folds its own terms
+//     j = 0…i−1 serially and adds each one to partner j's sum with one
+//     add. So block i's sum receives partners 0…i−1 while the sweep is
+//     at row i, and then i+1…B−1 from the later rows, in that order.
+//     How the rows are cut into blocks does not enter.
 //
 // On amd64 with AVX2, four pairs of a row run per step. The kernel
 // issues a separate multiply, add and subtract per operation and the
@@ -52,20 +60,23 @@ import "math"
 //
 // The sweep runs on the calling goroutine; the partner sums make its
 // row order part of the result.
-func PairSweepF64(gram, posR, posC, norm2, mean, sd []float64, k2 int, sumDs, sumDsDe, sumDsV []float64) {
-	pairSweepF64(gram, posR, posC, norm2, mean, sd, k2, sumDs, sumDsDe, sumDsV, SIMDEnabled())
+func PairSweepF64(panel []float64, lo, hi, ld int, posR, posC, norm2, mean, sd []float64, k2 int, sumDs, sumDsDe, sumDsV []float64) {
+	pairSweepF64(panel, lo, hi, ld, posR, posC, norm2, mean, sd, k2, sumDs, sumDsDe, sumDsV, SIMDEnabled())
 }
 
 // pairSweepF64 is PairSweepF64 with the vector kernel optional, so the
 // tests can hold the kernel to the scalar sweep on one machine.
-func pairSweepF64(gram, posR, posC, norm2, mean, sd []float64, k2 int, sumDs, sumDsDe, sumDsV []float64, vec bool) {
+func pairSweepF64(panel []float64, lo, hi, ld int, posR, posC, norm2, mean, sd []float64, k2 int, sumDs, sumDsDe, sumDsV []float64, vec bool) {
 	b := len(posR)
 	checkPairInputs("PairSweepF64", b, posC, norm2, mean, sd, sumDs, sumDsDe, sumDsV)
 	if k2 < 1 {
 		panic("linalg: PairSweepF64 block size k2 must be positive")
 	}
-	if len(gram) < b*b {
-		panic("linalg: PairSweepF64 Gram matrix shorter than B×B")
+	if lo < 0 || hi > b || lo > hi || ld < 0 {
+		panic("linalg: PairSweepF64 rows or row stride out of range")
+	}
+	if hi > lo && len(panel) < (hi-lo-1)*ld+hi-1 {
+		panic("linalg: PairSweepF64 panel shorter than its rows")
 	}
 	fk2 := float64(k2)
 	var invK2 float64
@@ -75,8 +86,8 @@ func pairSweepF64(gram, posR, posC, norm2, mean, sd []float64, k2 int, sumDs, su
 		invK2 = 1 / fk2
 	}
 	vec = vec && invK2 != 0
-	for i := 0; i < b; i++ {
-		row := gram[i*b : i*b+i]
+	for i := lo; i < hi; i++ {
+		row := panel[(i-lo)*ld : (i-lo)*ld+i]
 		ri, ci, n2i, mi, sdi := posR[i], posC[i], norm2[i], mean[i], sd[i]
 		j := 0
 		var s [3]float64

@@ -165,44 +165,63 @@ func (c *pairCensus) add(p *pairInputs) {
 	}
 }
 
-// checkPairSweep runs the sweep three ways on p — the dispatching entry
-// point (the AVX2 kernel where the CPU has it), the scalar sweep, and
-// the reference full-row fold — and fails on the first row whose three
-// sums differ in any bit. The sweep sees a Gram copy whose upper
-// triangle and diagonal are poisoned, so a read above the diagonal
-// shows.
+// checkPairSweep runs the sweep on p in blocks of 1, 16 and B rows,
+// each through the dispatching entry point (the AVX2 kernel where the
+// CPU has it) and the scalar sweep, and fails on the first row whose
+// three sums differ in any bit from the reference full-row fold. Each
+// block sees the lower-triangle rows it owns in a buffer whose every
+// other entry is poisoned, at a row stride of B (the whole-matrix
+// blocks), of the block's last row length (the 16-row blocks), or of 0
+// (the one-row blocks), so a read outside a row shows.
 func checkPairSweep(t testing.TB, p *pairInputs) {
 	t.Helper()
 	b := p.b()
-	lowerOnly := make([]float64, b*b)
-	for i := range lowerOnly {
-		lowerOnly[i] = math.Float64frombits(0x7FF4_0000_DEAD_BEEF) // signaling-NaN poison
-	}
-	for i := 0; i < b; i++ {
-		copy(lowerOnly[i*b:i*b+i], p.gram[i*b:i*b+i])
-	}
+	poison := math.Float64frombits(0x7FF4_0000_DEAD_BEEF) // signaling NaN
 	fk2 := float64(p.k2)
 	var invK2 float64
 	if p.k2&(p.k2-1) == 0 {
 		invK2 = 1 / fk2
 	}
 	type sums struct{ ds, dsDe, dsV []float64 }
-	run := func(vec bool) sums {
+	run := func(height int, vec bool) sums {
 		s := sums{make([]float64, b), make([]float64, b), make([]float64, b)}
 		for i := 0; i < b; i++ { // outputs must be overwritten, not accumulated into
 			s.ds[i], s.dsDe[i], s.dsV[i] = 7, math.NaN(), math.Inf(-1)
 		}
-		if vec {
-			PairSweepF64(lowerOnly, p.posR, p.posC, p.norm2, p.mean, p.sd, p.k2, s.ds, s.dsDe, s.dsV)
-		} else {
-			pairSweepF64(lowerOnly, p.posR, p.posC, p.norm2, p.mean, p.sd, p.k2, s.ds, s.dsDe, s.dsV, false)
+		for lo := 0; lo < b; lo += height {
+			hi := min(lo+height, b)
+			ld := hi - 1
+			switch height {
+			case 1:
+				ld = 0
+			case b:
+				ld = b
+			}
+			panel := make([]float64, (hi-lo)*max(ld, hi))
+			for i := range panel {
+				panel[i] = poison
+			}
+			for i := lo; i < hi; i++ {
+				copy(panel[(i-lo)*ld:], p.gram[i*b:i*b+i])
+			}
+			if vec {
+				PairSweepF64(panel, lo, hi, ld, p.posR, p.posC, p.norm2, p.mean, p.sd, p.k2, s.ds, s.dsDe, s.dsV)
+			} else {
+				pairSweepF64(panel, lo, hi, ld, p.posR, p.posC, p.norm2, p.mean, p.sd, p.k2, s.ds, s.dsDe, s.dsV, false)
+			}
 		}
 		return s
 	}
-	impls := []struct {
+	type impl struct {
 		name string
 		s    sums
-	}{{"sweep", run(true)}, {"scalar sweep", run(false)}}
+	}
+	var impls []impl
+	for _, height := range []int{1, 16, b} {
+		impls = append(impls,
+			impl{fmt.Sprintf("sweep/%d-row blocks", height), run(height, true)},
+			impl{fmt.Sprintf("scalar sweep/%d-row blocks", height), run(height, false)})
+	}
 	for i := 0; i < b; i++ {
 		var ref [3]float64
 		ref[0], ref[1], ref[2] = refPairFoldF64(p.gram, i, p.posR, p.posC, p.norm2, p.mean, p.sd, fk2, invK2)
@@ -237,8 +256,9 @@ func uniformPairs(name string, b int, norm2, mean, sd, g float64) *pairInputs {
 }
 
 // TestPairSweepF64BitIdentical holds the sweep — the AVX2 kernel where
-// the CPU has it, and the scalar sweep — to the reference full-row fold,
-// bit for bit on every row's three sums, at power-of-two and other k²,
+// the CPU has it, and the scalar sweep, each in blocks of 1, 16 and B
+// rows — to the reference full-row fold, bit for bit on every row's
+// three sums, at power-of-two and other k²,
 // on standardized blocks and on crafted ones that hit de² < 0 and −0,
 // rho past ±1 in both signs, sd = 0 on either side of a pair, and
 // Inf/NaN from overflowing magnitudes. A lane that fused a multiply-add,
@@ -311,19 +331,25 @@ func TestPairInputsShortPanic(t *testing.T) {
 		in := [7][]float64{f64(b), f64(b), f64(b), f64(b), f64(b), f64(b), f64(b)}
 		in[arg] = f64(8)
 		expectPanic(fmt.Sprintf("PairSweepF64 short input %d", arg), func() {
-			PairSweepF64(f64(b*b), f64(b), in[0], in[1], in[2], in[3], 64, in[4], in[5], in[6])
+			PairSweepF64(f64(b*b), 0, b, b, f64(b), in[0], in[1], in[2], in[3], 64, in[4], in[5], in[6])
 		})
 	}
-	expectPanic("PairSweepF64 short Gram", func() {
-		PairSweepF64(f64(b*b-1), f64(b), f64(b), f64(b), f64(b), f64(b), 64, f64(b), f64(b), f64(b))
+	expectPanic("PairSweepF64 short panel", func() {
+		PairSweepF64(f64(8*b+b-2), 8, b, b, f64(b), f64(b), f64(b), f64(b), f64(b), 64, f64(b), f64(b), f64(b))
 	})
+	for _, r := range [][3]int{{-1, 4, b}, {4, b + 1, b}, {5, 4, b}, {4, 6, -1}} {
+		expectPanic(fmt.Sprintf("PairSweepF64 rows [%d, %d) at stride %d", r[0], r[1], r[2]), func() {
+			PairSweepF64(f64(b*b), r[0], r[1], r[2], f64(b), f64(b), f64(b), f64(b), f64(b), 64, f64(b), f64(b), f64(b))
+		})
+	}
 	expectPanic("PairSweepF64 k2 = 0", func() {
-		PairSweepF64(f64(b*b), f64(b), f64(b), f64(b), f64(b), f64(b), 0, f64(b), f64(b), f64(b))
+		PairSweepF64(f64(b*b), 0, b, b, f64(b), f64(b), f64(b), f64(b), f64(b), 0, f64(b), f64(b), f64(b))
 	})
 }
 
-// FuzzPairSweepF64 runs the three-way bitwise check of
-// TestPairSweepF64BitIdentical on fuzzer-chosen B, grid width, k² and
+// FuzzPairSweepF64 runs the bitwise check of TestPairSweepF64BitIdentical
+// (vector and scalar sweeps in blocks of 1, 16 and B rows against the
+// full-row fold) on fuzzer-chosen B, grid width, k² and
 // data: the block stats and Gram entries cycle through the float64s
 // the data bytes spell. NaN inputs become +Inf, so every NaN arises in
 // the arithmetic; a NaN input's payload could otherwise reach one sum
@@ -371,36 +397,4 @@ func FuzzPairSweepF64(f *testing.F) {
 		}
 		checkPairSweep(t, p)
 	})
-}
-
-// pairPassSink keeps the benchmarked folds from being optimized away.
-var pairPassSink float64
-
-// BenchmarkPairPassF64 times the float64 pairwise pass after the Gram
-// fill, on blocks of a smooth random field standardized by
-// FusedBlockMoments (k² = 64, one goroutine): "mirror+fold" is the pass
-// the sweep replaced (MirrorLowerUpper, then the reference full-row
-// fold of every row), "sweep" is PairSweepF64 over the lower triangle.
-// B = 4096 is a 512×512 buffer; its Gram matrix is 128 MiB.
-func BenchmarkPairPassF64(b *testing.B) {
-	for _, nb := range []int{1024, 4096} {
-		rng := rand.New(rand.NewSource(int64(nb)))
-		p := standardizedPairs(rng, nb, 64, 0)
-		sumDs, sumDsDe, sumDsV := make([]float64, nb), make([]float64, nb), make([]float64, nb)
-		b.Run(fmt.Sprintf("B=%d/mirror+fold", nb), func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				MirrorLowerUpper(p.gram, nb)
-				for i := 0; i < nb; i++ {
-					_, dsDe, _ := refPairFoldF64(p.gram, i, p.posR, p.posC, p.norm2, p.mean, p.sd, 64, 1.0/64)
-					pairPassSink += dsDe
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("B=%d/sweep", nb), func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				PairSweepF64(p.gram, p.posR, p.posC, p.norm2, p.mean, p.sd, 64, sumDs, sumDsDe, sumDsV)
-				pairPassSink += sumDsDe[nb-1]
-			}
-		})
-	}
 }

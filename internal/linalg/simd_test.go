@@ -23,7 +23,7 @@ func carveRows[F Float](rng *rand.Rand, n, k int) ([][]F, []F) {
 
 // TestGramBlockTBitIdenticalF64 pins the float64 SIMD contract: the
 // transposed broadcast kernel vectorizes across output elements only, so
-// every element must be bit-identical to the scalar GramBlock — for
+// every element must be bit-identical to the scalar kernel — for
 // aligned and ragged block shapes, offset column windows, and strided or
 // scattered row layouts (the latter exercising the fallback).
 func TestGramBlockTBitIdenticalF64(t *testing.T) {
@@ -43,7 +43,7 @@ func TestGramBlockTBitIdenticalF64(t *testing.T) {
 		stride := sh.n
 		ref := make([]float64, (sh.hi-sh.lo)*stride)
 		got := make([]float64, (sh.hi-sh.lo)*stride)
-		GramBlock(v, sh.lo, sh.hi, sh.jlo, sh.jhi, ref, stride)
+		gramBlockScalar(v, sh.k, sh.lo, sh.hi, sh.jlo, sh.jhi, ref, stride)
 		GramBlockT(v, vt, sh.lo, sh.hi, sh.jlo, sh.jhi, got, stride)
 		for i := 0; i < sh.hi-sh.lo; i++ {
 			for j := sh.jlo; j < sh.jhi; j++ {
@@ -68,7 +68,7 @@ func TestGramBlockTBitIdenticalF64(t *testing.T) {
 	TransposeInto(v, vt)
 	ref := make([]float64, n*n)
 	got := make([]float64, n*n)
-	GramBlock(v, 0, n, 0, n, ref, n)
+	gramBlockScalar(v, k, 0, n, 0, n, ref, n)
 	GramBlockT(v, vt, 0, n, 0, n, got, n)
 	for i := range ref {
 		if ref[i] != got[i] {
@@ -88,7 +88,7 @@ func TestGramBlockTF32ULP(t *testing.T) {
 		TransposeInto(v, vt)
 		ref := make([]float32, sh.n*sh.n)
 		got := make([]float32, sh.n*sh.n)
-		GramBlock(v, 0, sh.n, 0, sh.n, ref, sh.n)
+		gramBlockScalar(v, sh.k, 0, sh.n, 0, sh.n, ref, sh.n)
 		GramBlockT(v, vt, 0, sh.n, 0, sh.n, got, sh.n)
 		for i := range ref {
 			// Scale-aware bound: |Δ| ≤ k·ε·Σ|a·b| covers the worst-case

@@ -426,22 +426,3 @@ func (m *Model) Predict(x []float64) float64 {
 	}
 	return out
 }
-
-// PredictAll maps Predict over rows.
-func (m *Model) PredictAll(x [][]float64) []float64 {
-	out := make([]float64, len(x))
-	for i, row := range x {
-		out[i] = m.Predict(row)
-	}
-	return out
-}
-
-// Density returns the mixture conditional density f(y|x), used by
-// diagnostics and tests.
-func (m *Model) Density(y float64, x []float64) float64 {
-	var total float64
-	for c := 0; c < m.L; c++ {
-		total += m.Pi[c] * normalPDF(y, m.mean(c, x), m.Sigma[c])
-	}
-	return total
-}

@@ -173,30 +173,20 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-func TestPredictAllAndDensity(t *testing.T) {
+func TestPredictFitsTrainingData(t *testing.T) {
 	x, y, _ := twoLineData(200, 0.1, 9)
 	m, err := Fit(x, y, Config{L: 2, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := m.PredictAll(x)
-	if len(preds) != len(x) {
-		t.Fatal("PredictAll length")
-	}
 	var mse float64
-	for i := range preds {
-		mse += (preds[i] - y[i]) * (preds[i] - y[i])
+	for i := range x {
+		d := m.Predict(x[i]) - y[i]
+		mse += d * d
 	}
-	mse /= float64(len(preds))
+	mse /= float64(len(x))
 	if mse > 0.1 {
 		t.Errorf("training MSE = %g", mse)
-	}
-	// Density is positive at observed points and integrates sensibly
-	// (spot check: higher at the observation than far away).
-	d1 := m.Density(y[0], x[0])
-	d2 := m.Density(y[0]+100, x[0])
-	if d1 <= d2 {
-		t.Errorf("density not peaked: %g vs %g", d1, d2)
 	}
 }
 

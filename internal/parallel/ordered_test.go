@@ -27,7 +27,7 @@ func TestSumOrderedMatchesSerial(t *testing.T) {
 		want += v
 	}
 	for _, w := range []int{1, 2, 3, 8, 33} {
-		got := SumOrdered(len(xs), w, func(i int) float64 { return xs[i] })
+		got := sumOrdered(len(xs), w, func(i int) float64 { return xs[i] })
 		if got != want {
 			t.Fatalf("workers=%d: SumOrdered = %x, serial = %x", w, got, want)
 		}
@@ -40,10 +40,10 @@ func TestSumOrderedWorkerInvariance(t *testing.T) {
 	prop := func(seed int64, w8 uint8) bool {
 		n := 1 + int(seed%997+997)%997
 		xs := orderSensitiveTerms(n, seed)
-		base := SumOrdered(n, 1, func(i int) float64 { return xs[i] })
+		base := sumOrdered(n, 1, func(i int) float64 { return xs[i] })
 		w := 1 + int(w8%16)
 		for rep := 0; rep < 3; rep++ {
-			if SumOrdered(n, w, func(i int) float64 { return xs[i] }) != base {
+			if sumOrdered(n, w, func(i int) float64 { return xs[i] }) != base {
 				return false
 			}
 		}
@@ -55,11 +55,11 @@ func TestSumOrderedWorkerInvariance(t *testing.T) {
 }
 
 func TestSumOrderedEdgeCases(t *testing.T) {
-	if got := SumOrdered(0, 4, func(int) float64 { panic("called") }); got != 0 {
-		t.Errorf("SumOrdered(0) = %g", got)
+	if got := sumOrdered(0, 4, func(int) float64 { panic("called") }); got != 0 {
+		t.Errorf("sumOrdered(0) = %g", got)
 	}
-	if got := SumOrdered(-3, 4, func(int) float64 { panic("called") }); got != 0 {
-		t.Errorf("SumOrdered(-3) = %g", got)
+	if got := sumOrdered(-3, 4, func(int) float64 { panic("called") }); got != 0 {
+		t.Errorf("sumOrdered(-3) = %g", got)
 	}
 	if got := SumOrderedInto(nil, 4, func(int) float64 { panic("called") }); got != 0 {
 		t.Errorf("SumOrderedInto(nil) = %g", got)
@@ -74,4 +74,13 @@ func TestSumOrderedIntoReusesScratch(t *testing.T) {
 	if got != 3 {
 		t.Errorf("SumOrderedInto = %g, want 3", got)
 	}
+}
+
+// sumOrdered is SumOrderedInto over n terms with fresh scratch, or 0 for
+// n ≤ 0.
+func sumOrdered(n, workers int, term func(i int) float64) float64 {
+	if n <= 0 {
+		return 0
+	}
+	return SumOrderedInto(make([]float64, n), workers, term)
 }

@@ -4,7 +4,7 @@
 // The paper's shared-sum strategies (compare-and-swap atomics for scalars,
 // one mutex for whole vectors) survive only as the ablation benchmark in
 // bench_test.go: their accumulation order follows goroutine scheduling,
-// so the bit-reproducible hot paths use SumOrdered instead.
+// so the bit-reproducible hot paths use SumOrderedInto instead.
 package parallel
 
 import (
@@ -120,22 +120,15 @@ func ForEachDynamicCtx(ctx context.Context, n, workers int, fn func(i int)) erro
 	return ctx.Err()
 }
 
-// SumOrdered computes Σ term(i) for i in [0, n) deterministically: the
-// terms are evaluated in parallel into per-index slots (each slot written
-// by exactly one worker) and then folded left to right in index order. The
-// result is therefore bit-identical to the workers=1 serial sum for every
-// worker count — floating-point reduction order never depends on goroutine
-// scheduling, unlike a compare-and-swap accumulator's.
-func SumOrdered(n, workers int, term func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return SumOrderedInto(make([]float64, n), workers, term)
-}
-
-// SumOrderedInto is SumOrdered over n = len(scratch) terms with
-// caller-provided scratch storage, for callers that pool buffers to keep
-// the reduction allocation-free. The scratch contents are overwritten.
+// SumOrderedInto computes Σ term(i) for i in [0, n), n = len(scratch),
+// deterministically: the terms are evaluated in parallel into the
+// per-index slots of the caller's scratch (each slot written by exactly
+// one worker) and then folded left to right in index order. The result is
+// therefore bit-identical to the workers=1 serial sum for every worker
+// count — floating-point reduction order never depends on goroutine
+// scheduling, unlike a compare-and-swap accumulator's. Callers pool the
+// scratch to keep the reduction allocation-free; its contents are
+// overwritten.
 func SumOrderedInto(scratch []float64, workers int, term func(i int) float64) float64 {
 	ForEach(len(scratch), workers, func(i int) {
 		scratch[i] = term(i)

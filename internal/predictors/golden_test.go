@@ -51,6 +51,12 @@ var goldenCases = []goldenCase{
 		buf:  func() *grid.Buffer { return mixedMagnitudeBuffer(90, 101, 90101) },
 		bits: [NumFeatures]uint64{0x4053154a48ecd751, 0x3fb232f0ffddbfeb, 0x3fdcea6d29a4ff7b, 0x4056a80000000000, 0xc0376edbdee60516},
 	},
+	// The hurricane slice comes from synthdata, whose platform math
+	// gives different input bits on 386 (the buffer's sha256 starts
+	// ee88e0260f068405 on amd64 and 44952e38f777fa31 on 386), so this
+	// case's SD, SC and CodingGain differ there; it passes on amd64 with
+	// the AVX2 kernels switched off. The 386 CI step runs -short, which
+	// skips it.
 	{
 		name: "hurricane-TC-512x512",
 		buf:  func() *grid.Buffer { return hurricaneSlice("TC", 512) },

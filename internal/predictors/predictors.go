@@ -21,19 +21,22 @@
 // per-block moment, and accumulates the k²×k² second-moment matrix in a
 // single pass) followed by one Gram-driven pairwise pass; D̂ depends on
 // the error bound ("eb_predictors"). Following §IV-C, the pairwise pass
-// is driven off rows of the Gram matrix G = V·Vᵀ produced by the
-// cache-blocked (and, on amd64, SIMD) kernels in internal/linalg, with
-// panels striped across workers; every float64 reduction combines
-// per-index terms in fixed index order, so results are bit-identical for
-// every worker count (the earlier compare-and-swap accumulators made the
-// SD/SC reduction order follow goroutine scheduling).
+// sweeps the lower triangle of the Gram matrix G = V·Vᵀ in blocks of
+// rows: the cache-blocked (and, on amd64, SIMD) kernel in
+// internal/linalg fills each block in panels striped across workers,
+// and the calling goroutine sweeps its rows in order. Every float64
+// reduction combines per-index terms in fixed index order, so results
+// are bit-identical for every worker count (the earlier
+// compare-and-swap accumulators made the SD/SC reduction order follow
+// goroutine scheduling).
 //
 // The whole pipeline is generic over the stored element type and has one
 // front half, the row-fed core in stream.go: in-memory buffers and CRBS
 // streams both feed it rows. The float64 instantiation is the bit-exact
 // reference; the float32 instantiation keeps dtype-1 stream payloads
-// narrow end to end — every accumulator still runs in float64, so
-// features agree with the float64 path within the documented ULP bounds
+// narrow in storage — every accumulator still runs in float64, and the
+// pair terms widen each float32 Gram entry — so features agree with the
+// float64 path within the documented ULP bounds
 // (see DESIGN.md "Performance" and the f32-vs-f64 differential suite).
 // Per-call working memory comes from a sync.Pool — see scratch.go.
 package predictors
@@ -42,7 +45,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-	"unsafe"
 
 	"github.com/crestlab/crest/internal/crerr"
 	"github.com/crestlab/crest/internal/grid"
@@ -137,9 +139,7 @@ func (f Features) Vector() []float64 {
 // accumulates the k²×k² second-moment lower triangle (see
 // linalg.FusedBlockMoments — bit-identical at float64 to the separate
 // passes it replaced). Block positions land as floats so the pairwise
-// pass computes Manhattan distances without per-pair div/mod; the
-// float32 instantiation additionally fills the narrow stat mirrors its
-// vectorized pairwise reduce consumes.
+// pass computes Manhattan distances without per-pair div/mod.
 //
 // Standardizing first makes the four error-bound-agnostic predictors
 // scale-free descriptors of *spatial structure*: two fields with the
@@ -156,170 +156,81 @@ func fillBlockStats[F linalg.Float](s *dsScratch[F], gm, gsd float64, b, bc int)
 	for i := 0; i < b; i++ {
 		s.posR[i], s.posC[i] = float64(i/bc), float64(i%bc)
 	}
-	if isF32[F]() {
-		for i := 0; i < b; i++ {
-			s.posR32[i] = float32(s.posR[i])
-			s.posC32[i] = float32(s.posC[i])
-			s.norm232[i] = float32(s.norm2[i])
-			s.mean32[i] = float32(s.mean[i])
-			if sd := s.sd[i]; sd > 0 {
-				s.invSd32[i] = float32(1 / sd)
-			} else {
-				s.invSd32[i] = 0
-			}
-		}
-	}
 }
 
-// reduceRow folds row i of the Gram matrix into the pairwise-pass outputs
-// wInter[i] and scBlock[i]. row[j] must be ⟨v[i], v[j]⟩ for every j. It
-// serves the float32 pass and the float64 streaming fallback; the
-// float64 full-Gram pass sweeps the lower triangle instead
-// (linalg.PairSweepF64), which reproduces this fold's bits.
-//
-// The float64 fold runs j = 0 → B−1 with serial accumulators, the exact
-// order of the pre-Gram per-pair loop, so results are bit-identical to
-// it; rows are independent, so callers may stripe them across workers
-// freely. The float32 fold dispatches to linalg.PairReduceF32, which
-// vectorizes eight pairs at a time — deterministic for a given binary
-// and CPU, ULP-equivalent (not bit-equal) to the scalar order.
-func (s *dsScratch[F]) reduceRow(i int, row []F) {
-	if r32, ok := any(row).([]float32); ok {
-		sumDs, sumDsDe, sumDsV := linalg.PairReduceF32(
-			r32, s.posR32, s.posC32, s.norm232, s.mean32, s.invSd32, i, float32(1/s.fk2))
-		s.setPairSums(i, sumDs, sumDsDe, sumDsV)
-		return
-	}
-	b := len(s.vecs)
-	ri, ci := s.posR[i], s.posC[i]
-	n2i, mi, sdi := s.norm2[i], s.mean[i], s.sd[i]
-	var sumDs, sumDsDe, sumDsV float64
-	for j := 0; j < b; j++ {
-		if j == i {
-			continue
-		}
-		dot := float64(row[j])
-		ds := math.Abs(ri-s.posR[j]) + math.Abs(ci-s.posC[j])
-		de2 := n2i + s.norm2[j] - 2*dot
-		if de2 < 0 {
-			de2 = 0
-		}
-		de := math.Sqrt(de2)
-		var rho float64
-		if sdi > 0 && s.sd[j] > 0 {
-			var cov float64
-			if s.invK2 != 0 {
-				// k² is a power of two, so multiplying by the exact
-				// reciprocal rounds identically to dividing by k².
-				cov = dot*s.invK2 - mi*s.mean[j]
-			} else {
-				cov = dot/s.fk2 - mi*s.mean[j]
-			}
-			rho = cov / (sdi * s.sd[j])
-			if rho > 1 {
-				rho = 1
-			} else if rho < -1 {
-				rho = -1
-			}
-		}
-		sumDs += ds
-		sumDsDe += ds * de
-		sumDsV += ds * math.Abs(rho)
-	}
-	s.setPairSums(i, sumDs, sumDsDe, sumDsV)
-}
-
-// setPairSums turns block i's three pairwise sums into its pairwise-pass
-// outputs.
-func (s *dsScratch[F]) setPairSums(i int, sumDs, sumDsDe, sumDsV float64) {
-	if sumDs > 0 {
-		s.wInter[i] = sumDsDe / sumDs
-		s.scBlock[i] = sumDsV / sumDs
-	} else {
-		// The scratch is pooled; stale values must not leak through.
-		s.wInter[i], s.scBlock[i] = 0, 0
-	}
-}
-
-// pairwisePass fills s.wInter and s.scBlock from the Gram matrix. When
-// the B×B Gram matrix fits the pool budget, only its lower triangle is
-// computed, from the transposed block matrix (the layout the SIMD kernel
-// broadcasts over), in panels striped across workers; that halves the
-// dot-product work. float64 then sweeps the triangle once on the calling
-// goroutine (linalg.PairSweepF64: each pair's terms computed once, no
-// mirror, the bits of reduceRow's full-row fold); float32 mirrors it and
-// folds full rows. Past the budget the pass streams row panels instead,
-// recomputing each dot once per side.
+// pairwisePass fills s.wInter and s.scBlock, the per-block Σ Ds·De / Σ Ds
+// and Σ Ds·|ρ| / Σ Ds, from the lower triangle of the Gram matrix
+// G = V·Vᵀ. It runs in blocks of pairBlockRows rows, or of
+// pairBlockMinElems/B rows when that is more: each block is filled
+// from the transposed block matrix (the layout the SIMD kernel
+// broadcasts over) in symPanelRows-row panels striped across workers,
+// then swept on the calling goroutine (linalg.PairSweepF64: each pair's
+// terms computed once, in row order). A float32 row is widened to
+// float64 just before it is swept, so both element types fold their
+// pairs in float64 with the float64 block stats. The result does not
+// depend on the block height or the worker count.
 func (s *dsScratch[F]) pairwisePass(b, workers int) {
-	var z F
-	if b*b*int(unsafe.Sizeof(z)) <= maxGramBytes {
-		k2 := len(s.backing) / b
-		s.gram = grow(s.gram, b*b)
-		s.vt = grow(s.vt, b*k2)
-		linalg.TransposeInto(s.vecs, s.vt)
-		nPanels := (b + symPanelRows - 1) / symPanelRows
-		// The serial branch repeats the loop bodies instead of calling
-		// the parallel helpers: fn escapes into their goroutine path, so
-		// even a workers==1 call would heap-allocate the closures —
-		// which is exactly what the zero-steady-state-allocation
-		// contract of the saturated batch path forbids.
-		serial := parallel.Workers(workers) == 1
+	s.pairBlocks(b, workers, max(pairBlockRows, pairBlockMinElems/b&^(symPanelRows-1)))
+}
+
+// pairBlocks is pairwisePass with the block height a parameter, a
+// positive multiple of symPanelRows, so tests can hold every height to
+// the same bits.
+func (s *dsScratch[F]) pairBlocks(b, workers, height int) {
+	k2 := len(s.backing) / b
+	s.vt = grow(s.vt, b*k2)
+	linalg.TransposeInto(s.vecs, s.vt)
+	s.gram = grow(s.gram, min(height, b)*b)
+	wide, _ := any(s.gram).([]float64)
+	if wide == nil {
+		s.row64 = grow(s.row64, b)
+	}
+	// The serial branch repeats the loop body instead of calling the
+	// parallel helper: fn escapes into its goroutine path, so even a
+	// workers==1 call would heap-allocate the closure — which is
+	// exactly what the zero-steady-state-allocation contract of the
+	// saturated batch path forbids.
+	serial := parallel.Workers(workers) == 1
+	for lo := 0; lo < b; lo += height {
+		hi := min(lo+height, b)
+		nPanels := (hi - lo + symPanelRows - 1) / symPanelRows
 		if serial {
 			for p := 0; p < nPanels; p++ {
-				lo := p * symPanelRows
-				hi := min(lo+symPanelRows, b)
-				linalg.GramBlockT(s.vecs, s.vt, lo, hi, 0, hi, s.gram[lo*b:], b)
+				s.fillPanel(lo, hi, p)
 			}
 		} else {
-			parallel.ForEachDynamic(nPanels, workers, func(p int) {
-				lo := p * symPanelRows
-				hi := min(lo+symPanelRows, b)
-				linalg.GramBlockT(s.vecs, s.vt, lo, hi, 0, hi, s.gram[lo*b:], b)
-			})
+			parallel.ForEachDynamic(nPanels, workers, func(p int) { s.fillPanel(lo, hi, p) })
 		}
-		if g, ok := any(s.gram).([]float64); ok {
-			linalg.PairSweepF64(g, s.posR, s.posC, s.norm2, s.mean, s.sd, k2, s.pairDs, s.wInter, s.scBlock)
-			for i := 0; i < b; i++ {
-				s.setPairSums(i, s.pairDs[i], s.wInter[i], s.scBlock[i])
-			}
-			return
+		if wide != nil {
+			linalg.PairSweepF64(wide, lo, hi, b, s.posR, s.posC, s.norm2, s.mean, s.sd, k2, s.pairDs, s.wInter, s.scBlock)
+			continue
 		}
-		linalg.MirrorLowerUpper(s.gram, b)
-		if serial {
-			for i := 0; i < b; i++ {
-				s.reduceRow(i, s.gram[i*b:(i+1)*b])
-			}
-			return
-		}
-		parallel.ForEach(b, workers, func(i int) {
-			s.reduceRow(i, s.gram[i*b:(i+1)*b])
-		})
-		return
-	}
-	nPanels := (b + streamPanelRows - 1) / streamPanelRows
-	if parallel.Workers(workers) == 1 {
-		for p := 0; p < nPanels; p++ {
-			lo := p * streamPanelRows
-			hi := min(lo+streamPanelRows, b)
-			panel := getPanel[F]((hi - lo) * b)
-			linalg.GramPanel(s.vecs, lo, hi, panel)
-			for i := lo; i < hi; i++ {
-				s.reduceRow(i, panel[(i-lo)*b:(i-lo+1)*b])
-			}
-			putPanel(panel)
-		}
-		return
-	}
-	parallel.ForEachDynamic(nPanels, workers, func(p int) {
-		lo := p * streamPanelRows
-		hi := min(lo+streamPanelRows, b)
-		panel := getPanel[F]((hi - lo) * b)
-		linalg.GramPanel(s.vecs, lo, hi, panel)
 		for i := lo; i < hi; i++ {
-			s.reduceRow(i, panel[(i-lo)*b:(i-lo+1)*b])
+			row := s.row64[:i]
+			for j, g := range s.gram[(i-lo)*b : (i-lo)*b+i] {
+				row[j] = float64(g)
+			}
+			linalg.PairSweepF64(row, i, i+1, 0, s.posR, s.posC, s.norm2, s.mean, s.sd, k2, s.pairDs, s.wInter, s.scBlock)
 		}
-		putPanel(panel)
-	})
+	}
+	for i := 0; i < b; i++ {
+		if sumDs := s.pairDs[i]; sumDs > 0 {
+			s.wInter[i] /= sumDs
+			s.scBlock[i] /= sumDs
+		} else {
+			// The scratch is pooled; stale values must not leak through.
+			s.wInter[i], s.scBlock[i] = 0, 0
+		}
+	}
+}
+
+// fillPanel fills panel p of the block of rows [lo, hi): its rows'
+// lower-triangle Gram entries, at row stride B from the top of s.gram.
+func (s *dsScratch[F]) fillPanel(lo, hi, p int) {
+	b := len(s.vecs)
+	plo := lo + p*symPanelRows
+	phi := min(plo+symPanelRows, hi)
+	linalg.GramBlockT(s.vecs, s.vt, plo, phi, 0, phi, s.gram[(plo-lo)*b:], b)
 }
 
 // ComputeDataset evaluates the four error-bound-agnostic predictors in one
@@ -327,7 +238,7 @@ func (s *dsScratch[F]) pairwisePass(b, workers int) {
 // its rows to the pooled stream core, so the result is bit-identical to
 // streaming the same slice. Results are bit-identical across worker
 // counts and across calls: every reduction runs in fixed index order
-// (see reduceRow, parallel.SumOrderedInto, linalg.FusedBlockMoments).
+// (see pairwisePass, parallel.SumOrderedInto, linalg.FusedBlockMoments).
 func ComputeDataset(buf *grid.Buffer, cfg Config) (DatasetFeatures, error) {
 	if err := buf.Validate(grid.DefaultValidation); err != nil {
 		return DatasetFeatures{}, fmt.Errorf("predictors: %w", err)

@@ -180,3 +180,33 @@ func TestStreamAllocsFlatWithLength(t *testing.T) {
 		}
 	}
 }
+
+// TestComputeDataset512AllocBound bounds the working memory of one
+// 512×512 float64 call (B = 4096 blocks at k = 8) started from drained
+// pools: every scratch buffer is allocated fresh, so the total is the
+// call's whole working set. The block matrix and its transpose are
+// 2 MiB each and the pairwise pass holds one 128-row block of Gram
+// rows, 4 MiB; a pass that materialized the B×B Gram matrix would
+// allocate 128 MiB more.
+func TestComputeDataset512AllocBound(t *testing.T) {
+	const bound = 32 << 20
+	buf := mixedMagnitudeBuffer(512, 512, 5)
+	for _, workers := range []int{1, 2} {
+		// Two collections empty the pools: the first moves their items
+		// to the victim cache, the second drops them.
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ComputeDataset(buf, Config{K: 8, Workers: workers, SkipProfile: true}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
+			t.Errorf("workers=%d: one 512² ComputeDataset from empty pools allocated %.1f MiB, want < %d MiB",
+				workers, float64(got)/(1<<20), bound>>20)
+		} else {
+			t.Logf("workers=%d: %.1f MiB", workers, float64(got)/(1<<20))
+		}
+	}
+}

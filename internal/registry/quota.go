@@ -32,10 +32,14 @@ type QuotaConfig struct {
 	// Tenants maps tenant name to its quota, overriding Default.
 	Tenants map[string]TenantQuota
 
-	// MaxTenants bounds the bucket table (default 1024). Tenants beyond
-	// the bound share one overflow bucket sized like Default, so an
-	// adversarial flood of fresh tenant names cannot grow memory — it
-	// only starves itself.
+	// MaxTenants bounds the table of buckets of tenants on the Default
+	// quota (default 1024). Tenants named in Tenants get their buckets
+	// at construction, outside the bound, so a flood of fresh tenant
+	// names (the tenant header is unauthenticated) can neither grow
+	// memory nor touch a configured tenant's quota. When the table is
+	// full, a new name evicts every bucket that has refilled to its
+	// burst; if none has, the name shares one overflow bucket sized
+	// like Default. An unlimited Default stores no buckets.
 	MaxTenants int
 }
 
@@ -75,28 +79,53 @@ func (b *bucket) take(now time.Time) (time.Duration, bool) {
 	return wait, false
 }
 
+// full reports whether take at now would refill the bucket to its
+// burst, so the bucket admits from now on exactly as a fresh one would.
+func (b *bucket) full(now time.Time) bool {
+	return b.tokens+now.Sub(b.last).Seconds()*b.quota.Rate >= b.quota.Burst
+}
+
+// fullAt is, up to rounding, the first time full holds; a take only
+// moves it later. The wait is capped at a year, which keeps the
+// Duration in range at any rate.
+func (b *bucket) fullAt() time.Time {
+	wait := math.Min((b.quota.Burst-b.tokens)/b.quota.Rate, 365*24*3600)
+	return b.last.Add(time.Duration(wait * float64(time.Second)))
+}
+
 // Quotas is the tenant admission table.
 type Quotas struct {
-	mu       sync.Mutex
-	cfg      QuotaConfig
-	now      func() time.Time
+	mu  sync.Mutex
+	cfg QuotaConfig
+	now func() time.Time
+	// configured holds one bucket per tenant of cfg.Tenants, seated at
+	// construction and never evicted; the map is never written after.
+	configured map[string]*bucket
+	// buckets holds the tenants on the Default quota, at most
+	// cfg.MaxTenants of them.
 	buckets  map[string]*bucket
 	overflow bucket
+	// noneFullBefore is set by a sweep of a full table that evicted
+	// nothing: no bucket can refill before it, and none joins until a
+	// sweep evicts, so until then new names skip the sweep.
+	noneFullBefore time.Time
 }
 
 func newQuotas(cfg QuotaConfig, now func() time.Time) *Quotas {
 	cfg.Default = cfg.Default.withDefaults()
+	configured := make(map[string]*bucket, len(cfg.Tenants))
 	for name, q := range cfg.Tenants {
-		cfg.Tenants[name] = q.withDefaults()
+		configured[name] = &bucket{quota: q.withDefaults()}
 	}
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = defaultMaxTenants
 	}
 	return &Quotas{
-		cfg:      cfg,
-		now:      now,
-		buckets:  make(map[string]*bucket),
-		overflow: bucket{quota: cfg.Default},
+		cfg:        cfg,
+		now:        now,
+		configured: configured,
+		buckets:    make(map[string]*bucket),
+		overflow:   bucket{quota: cfg.Default},
 	}
 }
 
@@ -105,18 +134,42 @@ func newQuotas(cfg QuotaConfig, now func() time.Time) *Quotas {
 func (q *Quotas) Allow(tenant string) (time.Duration, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	now := q.now()
+	if b := q.configured[tenant]; b != nil {
+		return b.take(now)
+	}
+	if q.cfg.Default.Rate <= 0 {
+		return 0, true
+	}
 	b := q.buckets[tenant]
 	if b == nil {
+		if len(q.buckets) >= q.cfg.MaxTenants && !now.Before(q.noneFullBefore) {
+			q.evictFull(now)
+		}
 		if len(q.buckets) >= q.cfg.MaxTenants {
-			b = &q.overflow
-		} else {
-			quota, ok := q.cfg.Tenants[tenant]
-			if !ok {
-				quota = q.cfg.Default
-			}
-			b = &bucket{quota: quota}
-			q.buckets[tenant] = b
+			return q.overflow.take(now)
+		}
+		b = &bucket{quota: q.cfg.Default}
+		q.buckets[tenant] = b
+	}
+	return b.take(now)
+}
+
+// evictFull drops every Default-quota bucket that has refilled to its
+// burst. A full bucket admits exactly as a fresh one would, so dropping
+// it changes no admission decision. When none has refilled, it records
+// when the first one can.
+func (q *Quotas) evictFull(now time.Time) {
+	var next time.Time
+	for name, b := range q.buckets {
+		if b.full(now) {
+			delete(q.buckets, name)
+		} else if at := b.fullAt(); next.IsZero() || at.Before(next) {
+			next = at
 		}
 	}
-	return b.take(q.now())
+	if len(q.buckets) < q.cfg.MaxTenants {
+		next = time.Time{}
+	}
+	q.noneFullBefore = next
 }

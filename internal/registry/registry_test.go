@@ -586,6 +586,82 @@ func TestQuotaTenantTableBounded(t *testing.T) {
 	}
 }
 
+// TestQuotaConfiguredTenantOutsideTableBound: a tenant named in the
+// config keeps its own quota however many other names came first. When
+// configured tenants took table slots on first sight like any other
+// name, MaxTenants stranger names pushed them into the overflow bucket
+// for good, with the Default quota: a 0.001 req/s tenant under an
+// unlimited Default was admitted every time, and a 1e9 req/s tenant
+// under a 1 req/s Default once in ten tries, an hour later.
+func TestQuotaConfiguredTenantOutsideTableBound(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		def, quota   TenantQuota
+		wantAdmitted int
+	}{
+		{"0.001 req/s tenant, unlimited Default", TenantQuota{}, TenantQuota{Rate: 0.001, Burst: 1}, 1},
+		{"1e9 req/s tenant, 1 req/s Default", TenantQuota{Rate: 1, Burst: 1}, TenantQuota{Rate: 1e9}, 10},
+	} {
+		now := time.Unix(1000, 0)
+		q := newQuotas(QuotaConfig{
+			Default:    tc.def,
+			Tenants:    map[string]TenantQuota{"vip": tc.quota},
+			MaxTenants: 4,
+		}, func() time.Time { return now })
+		for _, name := range []string{"s1", "s2", "s3", "s4"} {
+			q.Allow(name)
+		}
+		now = now.Add(time.Hour)
+		admitted := 0
+		for i := 0; i < 10; i++ {
+			if _, ok := q.Allow("vip"); ok {
+				admitted++
+			}
+		}
+		if admitted != tc.wantAdmitted {
+			t.Errorf("%s: admitted %d of 10 after four stranger names, want %d", tc.name, admitted, tc.wantAdmitted)
+		}
+	}
+}
+
+// TestQuotaTableEvictsRefilledBuckets: once the buckets in a full table
+// have refilled to their burst, a new name gets a bucket of its own
+// instead of the overflow bucket every later name would share, and the
+// table stays within MaxTenants.
+func TestQuotaTableEvictsRefilledBuckets(t *testing.T) {
+	now := time.Unix(1000, 0)
+	q := newQuotas(QuotaConfig{
+		Default:    TenantQuota{Rate: 1, Burst: 2},
+		MaxTenants: 4,
+	}, func() time.Time { return now })
+	for _, name := range []string{"s1", "s2", "s3", "s4"} {
+		if _, ok := q.Allow(name); !ok {
+			t.Fatalf("%s: first request denied", name)
+		}
+	}
+	// No bucket has refilled yet: new names share one overflow bucket.
+	admitted := 0
+	for _, name := range []string{"n1", "n2", "n3"} {
+		if _, ok := q.Allow(name); ok {
+			admitted++
+		}
+	}
+	if admitted != 2 {
+		t.Fatalf("three new names at a full table: %d admitted, want the overflow burst of 2", admitted)
+	}
+	now = now.Add(time.Hour)
+	for _, name := range []string{"late1", "late2", "late3"} {
+		for i := 0; i < 2; i++ {
+			if _, ok := q.Allow(name); !ok {
+				t.Fatalf("%s: request %d within its own burst denied", name, i)
+			}
+		}
+	}
+	if len(q.buckets) > 4 {
+		t.Fatalf("bucket table grew to %d entries with MaxTenants=4", len(q.buckets))
+	}
+}
+
 // TestCanaryRouteZeroAlloc pins the per-request cost of the lifecycle
 // layer: resolving a route while a canary split is in flight, and the
 // tenant quota check on both an admitted and a rejected tenant, allocate

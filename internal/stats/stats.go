@@ -37,22 +37,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(n)
 }
 
-// SampleVariance returns the unbiased sample variance (denominator n-1), or
-// 0 for fewer than two elements.
-func SampleVariance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, v := range xs {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
 // StdDev returns the population standard deviation sd(x), the paper's
 // intra-block weight w^intra.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
@@ -150,29 +134,6 @@ func QuantizedEntropy(xs []float64, eps float64) float64 {
 // one-segment case of HistogramEntropySeg.
 func HistogramEntropy(xs []float64, bins int) float64 {
 	return HistogramEntropySeg([][]float64{xs}, bins)
-}
-
-// DifferentialEntropy estimates the differential entropy h(x) in bits by
-// the histogram method: h ≈ H_discrete + log2(binwidth). Used to estimate
-// the rate-distortion distortion constant (§IV-A).
-func DifferentialEntropy(xs []float64, bins int) float64 {
-	if len(xs) == 0 || bins <= 0 {
-		return 0
-	}
-	lo, hi := xs[0], xs[0]
-	for _, v := range xs[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi == lo {
-		return math.Inf(-1) // point mass: differential entropy -> -inf
-	}
-	bw := (hi - lo) / float64(bins)
-	return HistogramEntropy(xs, bins) + math.Log2(bw)
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear

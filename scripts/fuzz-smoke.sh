@@ -20,7 +20,7 @@
 #   internal/stats      FuzzHistogramEntropy         (histogram entropy: no panic, split and f32 invariance)
 #   internal/server     FuzzDecodeRequest            (JSON fast path vs encoding/json)
 #   internal/server     FuzzParseFloat               (one-pass number scan and conversion vs strconv.ParseFloat)
-#   internal/linalg     FuzzPairSweepF64             (pair sweep vs scalar sweep vs full-row fold)
+#   internal/linalg     FuzzPairSweepF64             (pair sweep and scalar sweep, in blocks of 1, 16 and B rows, vs full-row fold)
 #   internal/linalg     FuzzFusedBlockMoments        (AVX2 second-moment update vs scalar loop vs SecondMomentLower)
 #   snapshot            FuzzSnapshotDecode           (durable-model envelope decoder)
 set -eu
