@@ -162,8 +162,8 @@ func fillBlockStats[F linalg.Float](s *dsScratch[F], gm, gsd float64, b, bc int)
 // and Σ Ds·|ρ| / Σ Ds, from the lower triangle of the Gram matrix
 // G = V·Vᵀ. It runs in blocks of pairBlockRows rows, or of
 // pairBlockMinElems/B rows when that is more: each block is filled
-// from the transposed block matrix (the layout the SIMD kernel
-// broadcasts over) in symPanelRows-row panels striped across workers,
+// from the transposed block matrix (the layout the SIMD kernels
+// broadcast over) in symPanelRows-row panels striped across workers,
 // then swept on the calling goroutine (linalg.PairSweepF64: each pair's
 // terms computed once, in row order). A float32 row is widened to
 // float64 just before it is swept, so both element types fold their
