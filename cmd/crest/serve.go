@@ -53,7 +53,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	canaryFraction := fs.Float64("canary-fraction", 0.1, "traffic fraction routed to a canary candidate (registry mode)")
 	keep := fs.Int("keep", 0, "per-lineage snapshot retention budget (registry mode; 0: default, negative: keep all)")
 	quota := fs.String("quota", "", `per-tenant admission quotas "name=rate[:burst],..." in req/s (registry mode; entry "*=..." bounds unlisted tenants)`)
-	driftThreshold := fs.Float64("drift-threshold", 0, "rolling feedback MedAPE %% that triggers background retraining (registry mode; 0: off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -99,7 +98,6 @@ func cmdServe(ctx context.Context, args []string) error {
 			Keep:    *keep,
 			Canary:  registry.CanaryConfig{Fraction: *canaryFraction},
 			Quota:   qcfg,
-			Drift:   registry.DriftConfig{MedAPEThreshold: *driftThreshold},
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "crest serve: registry: "+format+"\n", args...)
 			},

@@ -9,7 +9,7 @@ import (
 )
 
 // PredictorConfig tunes the computation of the five statistical
-// predictors (block size, histogram resolution, parallelism).
+// predictors: the block edge K and the parallelism.
 type PredictorConfig = predictors.Config
 
 // Features is the five-dimensional covariate vector of one buffer at one

@@ -47,7 +47,7 @@ func (u *Underwood) features(buf *grid.Buffer, eps float64) ([2]float64, error) 
 	trunc, ok := u.svd[buf]
 	u.mu.Unlock()
 	if !ok {
-		t, _, err := predictors.NaiveCovSVDTrunc(buf, u.PredCfg)
+		t, err := predictors.NaiveCovSVDTrunc(buf, u.PredCfg)
 		if err != nil {
 			return [2]float64{}, err
 		}

@@ -21,10 +21,7 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 	}
 	buf := testBuffer(64, 64, 1)
 	const eps = 1e-3
-	// SkipProfile keeps the dataset-predictor result slice-free, so a
-	// cache MISS on this config is also allocation-bounded; the steady
-	// state below is all hits regardless.
-	cfg := predictors.Config{Workers: 1, SkipProfile: true}
+	cfg := predictors.Config{Workers: 1}
 	cache := featcache.New(cfg)
 
 	feats, err := cache.FeaturesInto(make([]float64, 0, 8), buf, eps)

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/crestlab/crest/internal/crerr"
 	"github.com/crestlab/crest/internal/grid"
@@ -82,7 +83,7 @@ func TestUnkeyedBufferBypassesCache(t *testing.T) {
 // recomputes the identical bits.
 func TestByteBudgetEvictsAndRecomputes(t *testing.T) {
 	c := New(serialCfg)
-	c.maxBytes = NumShards * 3000 // a few entries per shard
+	c.maxBytes = NumShards * 3 * entryOverhead // three entries per shard, so 200 must evict
 	const n = 100
 	first := make([][]float64, n)
 	for i := 0; i < n; i++ {
@@ -126,8 +127,8 @@ func TestByteBudgetEvictsAndRecomputes(t *testing.T) {
 // singleflight waits and in-flight computations. The stand-in compute
 // functions derive every result from the buffer's content, so an entry
 // served under the wrong key would show. At quiescence nothing is in
-// flight, the charge is back within the budget, and the residency
-// identity holds.
+// flight, the charge is back within the budget and is one entryOverhead
+// per resident entry, and the residency identity holds.
 func TestHammerUnderByteBudget(t *testing.T) {
 	sum := func(buf *grid.Buffer) float64 {
 		var s float64
@@ -138,7 +139,7 @@ func TestHammerUnderByteBudget(t *testing.T) {
 	}
 	c := NewWithCompute(serialCfg,
 		func(buf *grid.Buffer, _ predictors.Config) (predictors.DatasetFeatures, error) {
-			return predictors.DatasetFeatures{SD: sum(buf), SingularProfile: make([]float64, 64)}, nil
+			return predictors.DatasetFeatures{SD: sum(buf)}, nil
 		},
 		func(buf *grid.Buffer, eps float64, _ predictors.Config) (float64, error) {
 			return sum(buf) * eps, nil
@@ -183,6 +184,9 @@ func TestHammerUnderByteBudget(t *testing.T) {
 	if st.Bytes > c.maxBytes {
 		t.Fatalf("%d bytes charged at quiescence over a %d budget", st.Bytes, c.maxBytes)
 	}
+	if want := int64(c.Len()) * entryOverhead; st.Bytes != want {
+		t.Fatalf("%d bytes charged for %d entries, want %d", st.Bytes, c.Len(), want)
+	}
 	if c.Pending() != 0 {
 		t.Fatalf("%d in-flight entries at quiescence", c.Pending())
 	}
@@ -191,17 +195,24 @@ func TestHammerUnderByteBudget(t *testing.T) {
 	}
 }
 
+// TestEntryFitsItsCharge: entryOverhead covers at least the entry
+// itself, so a field added to entry cannot silently outgrow the charge.
+func TestEntryFitsItsCharge(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); size >= entryOverhead {
+		t.Fatalf("unsafe.Sizeof(entry{}) = %d B, not below entryOverhead = %d B", size, entryOverhead)
+	}
+}
+
 // TestHeapFlatAcrossDistinctBuffers is the soak test of a long-running
 // server: 500 distinct 64×64 buffers through one cache must not keep
 // their data reachable. Post-GC heap growth stays under 10% of the data
-// that passed through. The compute functions are stand-ins returning
-// results of the real shape (a 64-element singular profile), so the test
+// that passed through. The compute functions are stand-ins, so the test
 // measures what the cache retains, not the predictors' cost.
 func TestHeapFlatAcrossDistinctBuffers(t *testing.T) {
 	const n, side = 500, 64
 	c := NewWithCompute(serialCfg,
 		func(buf *grid.Buffer, _ predictors.Config) (predictors.DatasetFeatures, error) {
-			return predictors.DatasetFeatures{SD: buf.Data[0], SingularProfile: make([]float64, 64)}, nil
+			return predictors.DatasetFeatures{SD: buf.Data[0]}, nil
 		},
 		func(buf *grid.Buffer, eps float64, _ predictors.Config) (float64, error) {
 			return buf.Data[1] / eps, nil

@@ -54,15 +54,15 @@ const NumShards = 1 << shardBits
 const shardBits = 5
 
 // MaxBytes is the byte budget of one cache, split evenly over its
-// shards. Entries are charged entryOverhead plus 8 bytes per
-// SingularProfile element; in-flight entries are never evicted, so a
-// shard exceeds its share only while every other entry in it is still
-// being computed.
+// shards. Every entry is charged entryOverhead; in-flight entries are
+// never evicted, so a shard exceeds its share only while every other
+// entry in it is still being computed.
 const MaxBytes = 32 << 20
 
-// entryOverhead is the fixed charge of one entry: the entry itself and
-// its share of the shard map (about 265 bytes measured on amd64, rounded
-// up so the charge does not undercount the heap).
+// entryOverhead is the charge of one entry: the entry itself (192 bytes
+// on amd64) and its share of the shard map. Heap growth per resident
+// entry measured 273–317 bytes on amd64 with Go 1.24, over 200 to 105k
+// entries; the charge rounds up so it does not undercount the heap.
 const entryOverhead = 320
 
 // DatasetFunc computes the error-bound-agnostic predictors of a buffer;
@@ -132,7 +132,6 @@ const (
 type shard struct {
 	mu      sync.Mutex
 	entries map[slot]*entry
-	bytes   int64 // charge of the resident entries
 }
 
 // key identifies a buffer by content: its shape and two 64-bit maphash
@@ -182,7 +181,6 @@ type entry struct {
 	// Guarded by the shard lock.
 	slot  slot
 	ready bool // computed successfully; only ready entries are evicted
-	cost  int64
 }
 
 // New returns an empty cache computing features with cfg.
@@ -332,9 +330,9 @@ func (c *Cache) lookup(sl slot, keyed bool, compute func(*entry)) *entry {
 	}
 	e := &entry{slot: sl}
 	e.done.Add(1)
-	c.evictFor(s, entryOverhead)
+	c.evictFor(s)
 	s.entries[sl] = e
-	c.charge(s, e, entryOverhead)
+	c.bytes.Add(entryOverhead)
 	s.mu.Unlock()
 	count(&c.misses[sl.half], c.reg.misses[sl.half])
 
@@ -346,9 +344,6 @@ func (c *Cache) lookup(sl slot, keyed bool, compute func(*entry)) *entry {
 		// slot: the failure is retryable.
 		c.drop(s, e)
 	} else {
-		extra := 8 * int64(len(e.df.SingularProfile))
-		c.evictFor(s, extra)
-		c.charge(s, e, extra)
 		e.ready = true
 	}
 	s.mu.Unlock()
@@ -381,27 +376,19 @@ func count(n *atomic.Uint64, mirror *obs.Counter) {
 // ---------------------------------------------------------------------------
 // Byte budget and eviction. Every method below runs under s.mu.
 
-// charge adds n bytes to e's charge, its shard and the cache total.
-func (c *Cache) charge(s *shard, e *entry, n int64) {
-	e.cost += n
-	s.bytes += n
-	c.bytes.Add(n)
-}
-
 // drop removes e from its shard and refunds its charge.
 func (c *Cache) drop(s *shard, e *entry) {
 	delete(s.entries, e.slot)
-	s.bytes -= e.cost
-	c.bytes.Add(-e.cost)
+	c.bytes.Add(-entryOverhead)
 }
 
-// evictFor evicts completed entries until need more bytes fit in the
+// evictFor evicts completed entries until one more entry fits in the
 // shard's share of the budget, taking whichever the map's iteration
 // reaches first and skipping in-flight ones. If every entry is in flight,
 // the insert proceeds over budget.
-func (c *Cache) evictFor(s *shard, need int64) {
+func (c *Cache) evictFor(s *shard) {
 	limit := c.maxBytes / NumShards
-	for s.bytes+need > limit {
+	for int64(len(s.entries)+1)*entryOverhead > limit {
 		var victim *entry
 		for _, e := range s.entries {
 			if e.ready {

@@ -20,13 +20,10 @@ import (
 	"github.com/crestlab/crest/internal/predictors"
 )
 
-// ProfileDim is the number of leading singular-value decay components kept
-// as the field signature.
-const ProfileDim = 8
-
 // Profiles returns the per-slice decay signatures of one field: each row
-// is the first ProfileDim entries of the normalized singular-value decay
-// of the slice's block covariance.
+// is the slice's predictors.DatasetFeatures.SingularProfile, the first
+// predictors.ProfileDim entries of the normalized singular-value decay of
+// its block covariance.
 func Profiles(field *grid.Field, cfg predictors.Config) ([][]float64, error) {
 	out := make([][]float64, 0, len(field.Buffers))
 	for _, b := range field.Buffers {
@@ -34,11 +31,8 @@ func Profiles(field *grid.Field, cfg predictors.Config) ([][]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fieldsim: %s/%s: %w", field.Dataset, field.Name, err)
 		}
-		row := make([]float64, ProfileDim)
-		for i := 0; i < ProfileDim && i < len(df.SingularProfile); i++ {
-			row[i] = df.SingularProfile[i]
-		}
-		out = append(out, row)
+		row := df.SingularProfile
+		out = append(out, row[:])
 	}
 	return out, nil
 }

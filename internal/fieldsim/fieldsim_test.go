@@ -26,7 +26,7 @@ func TestProfilesShape(t *testing.T) {
 		t.Fatalf("%d profiles", len(p))
 	}
 	for _, row := range p {
-		if len(row) != ProfileDim {
+		if len(row) != predictors.ProfileDim {
 			t.Fatalf("profile dim %d", len(row))
 		}
 	}

@@ -87,23 +87,3 @@ func BenchmarkAblationAtomics(b *testing.B) {
 		})
 	})
 }
-
-func BenchmarkForEach(b *testing.B) {
-	work := func(i int) {
-		x := float64(i)
-		for k := 0; k < 50; k++ {
-			x = x*1.0000001 + 1
-		}
-		_ = x
-	}
-	b.Run("static", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ForEach(1024, 0, work)
-		}
-	})
-	b.Run("dynamic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ForEachDynamic(1024, 0, work)
-		}
-	})
-}

@@ -1,10 +1,11 @@
 // Package parallel provides the execution substrate the paper implements
-// with multi-threaded CPU + GPU offload (§IV-C): a bounded worker pool with
-// static and dynamic scheduling, and a deterministic ordered reduction.
-// The paper's shared-sum strategies (compare-and-swap atomics for scalars,
-// one mutex for whole vectors) survive only as the ablation benchmark in
+// with multi-threaded CPU + GPU offload (§IV-C): a bounded worker pool
+// with dynamic scheduling and cooperative cancellation. The paper's
+// shared-sum strategies (compare-and-swap atomics for scalars, one mutex
+// for whole vectors) survive only as the ablation benchmark in
 // bench_test.go: their accumulation order follows goroutine scheduling,
-// so the bit-reproducible hot paths use SumOrderedInto instead.
+// so the bit-reproducible predictor sums run serially in index order
+// instead (internal/predictors).
 package parallel
 
 import (
@@ -21,46 +22,6 @@ func Workers(n int) int {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// ForEach runs fn(i) for i in [0, n) across at most workers goroutines.
-// Work is distributed in contiguous stripes so adjacent indices land on the
-// same worker, mirroring the paper's tiled iteration. It blocks until all
-// work completes.
-func ForEach(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for g := 0; g < w; g++ {
-		lo := g * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // ForEachDynamic runs fn(i) for i in [0, n) with dynamic scheduling: each
@@ -118,24 +79,4 @@ func ForEachDynamicCtx(ctx context.Context, n, workers int, fn func(i int)) erro
 	}
 	wg.Wait()
 	return ctx.Err()
-}
-
-// SumOrderedInto computes Σ term(i) for i in [0, n), n = len(scratch),
-// deterministically: the terms are evaluated in parallel into the
-// per-index slots of the caller's scratch (each slot written by exactly
-// one worker) and then folded left to right in index order. The result is
-// therefore bit-identical to the workers=1 serial sum for every worker
-// count — floating-point reduction order never depends on goroutine
-// scheduling, unlike a compare-and-swap accumulator's. Callers pool the
-// scratch to keep the reduction allocation-free; its contents are
-// overwritten.
-func SumOrderedInto(scratch []float64, workers int, term func(i int) float64) float64 {
-	ForEach(len(scratch), workers, func(i int) {
-		scratch[i] = term(i)
-	})
-	var sum float64
-	for _, v := range scratch {
-		sum += v
-	}
-	return sum
 }

@@ -148,19 +148,19 @@ func naiveCodingGain(buf *grid.Buffer, cfg Config) (float64, error) {
 	return codingGain(sigma, eig), nil
 }
 
-// NaiveCovSVDTrunc computes only the CovSVD truncation (and decay
-// profile) through the standalone path, the way prior approaches such as
-// Underwood's compute it.
-func NaiveCovSVDTrunc(buf *grid.Buffer, cfg Config) (float64, []float64, error) {
-	return naiveCovSVD(buf, cfg.withDefaults())
+// NaiveCovSVDTrunc computes only the CovSVD truncation through the
+// standalone path, the way prior approaches such as Underwood's compute
+// it.
+func NaiveCovSVDTrunc(buf *grid.Buffer, cfg Config) (float64, error) {
+	trunc, _, err := naiveCovSVD(buf, cfg.withDefaults())
+	return trunc, err
 }
 
-func naiveCovSVD(buf *grid.Buffer, cfg Config) (float64, []float64, error) {
+func naiveCovSVD(buf *grid.Buffer, cfg Config) (float64, [ProfileDim]float64, error) {
 	sigma, err := naiveSecondMoment(buf, cfg)
 	if err != nil {
-		return 0, nil, err
+		return 0, [ProfileDim]float64{}, err
 	}
-	eig := linalg.SymEigenValues(sigma)
-	trunc, profile := covSVDTrunc(eig, false)
+	trunc, profile := covSVDTrunc(linalg.SymEigenValues(sigma))
 	return trunc, profile, nil
 }

@@ -25,10 +25,13 @@
 // rows: the cache-blocked (and, on amd64, SIMD) kernel in
 // internal/linalg fills each block in panels striped across workers,
 // and the calling goroutine sweeps its rows in order. Every float64
-// reduction combines per-index terms in fixed index order, so results
-// are bit-identical for every worker count (the earlier
-// compare-and-swap accumulators made the SD/SC reduction order follow
-// goroutine scheduling).
+// reduction combines per-index terms in fixed index order, and the SD/SC
+// totals are one serial loop, so results are bit-identical for every
+// worker count (the earlier compare-and-swap accumulators made the SD/SC
+// reduction order follow goroutine scheduling). Next to the four
+// dataset predictors, ComputeDataset returns the leading ProfileDim
+// values of the normalized singular-value decay, the field signature of
+// §VI-E (internal/fieldsim).
 //
 // The whole pipeline is generic over the stored element type and has one
 // front half, the row-fed core in stream.go: in-memory buffers and CRBS
@@ -38,7 +41,9 @@
 // pair terms widen each float32 Gram entry — so features agree with the
 // float64 path within the documented ULP bounds
 // (see DESIGN.md "Performance" and the f32-vs-f64 differential suite).
-// Per-call working memory comes from a sync.Pool — see scratch.go.
+// Per-call working memory comes from a sync.Pool (see scratch.go) and
+// every result is a fixed-size value, so a warm serial ComputeDataset
+// allocates nothing.
 package predictors
 
 import (
@@ -84,28 +89,20 @@ var FeatureNames = [NumFeatures]string{
 type Config struct {
 	// K is the block edge length (default 8).
 	K int
-	// Bins is the histogram resolution for entropy estimation
-	// (default 64).
-	Bins int
 	// Workers bounds the parallelism (default: GOMAXPROCS).
 	Workers int
-	// SkipProfile drops DatasetFeatures.SingularProfile, the one output
-	// whose length depends on k² and therefore cannot come from the
-	// pooled scratch. Hot paths that only need the scalar features
-	// (batch serving, benchmarks) set it to make ComputeDataset
-	// allocation-free in steady state.
-	SkipProfile bool
 }
 
 func (c Config) withDefaults() Config {
 	if c.K <= 0 {
 		c.K = 8
 	}
-	if c.Bins <= 0 {
-		c.Bins = 64
-	}
 	return c
 }
+
+// ProfileDim is the number of leading singular values kept in
+// DatasetFeatures.SingularProfile, the field signature of §VI-E.
+const ProfileDim = 8
 
 // DatasetFeatures are the error-bound-agnostic predictors of one buffer.
 type DatasetFeatures struct {
@@ -114,10 +111,10 @@ type DatasetFeatures struct {
 	CodingGain  float64 // log2 KLT coding gain
 	CovSVDTrunc float64 // % singular values for 99% variance
 
-	// SingularProfile is the relative decay of the singular values of the
-	// block covariance (σ_i / Σσ), consumed by the field-similarity
-	// analysis of §VI-E. Nil when Config.SkipProfile is set.
-	SingularProfile []float64
+	// SingularProfile is the relative decay of the leading singular
+	// values of the block covariance (σ_i / Σσ), consumed by the
+	// field-similarity analysis of §VI-E. Entries past k² are 0.
+	SingularProfile [ProfileDim]float64
 }
 
 // Features is the full 5-dimensional covariate vector for one buffer and
@@ -238,7 +235,7 @@ func (s *dsScratch[F]) fillPanel(lo, hi, p int) {
 // its rows to the pooled stream core, so the result is bit-identical to
 // streaming the same slice. Results are bit-identical across worker
 // counts and across calls: every reduction runs in fixed index order
-// (see pairwisePass, parallel.SumOrderedInto, linalg.FusedBlockMoments).
+// (see pairwisePass, finishDataset, linalg.FusedBlockMoments).
 func ComputeDataset(buf *grid.Buffer, cfg Config) (DatasetFeatures, error) {
 	if err := buf.Validate(grid.DefaultValidation); err != nil {
 		return DatasetFeatures{}, fmt.Errorf("predictors: %w", err)
@@ -273,7 +270,7 @@ func featurize[F linalg.Float](rows, cols int, data []F, eps []float64, cfg Conf
 // make the result independent of the worker count. setup is the
 // fused-traversal cost attributed across the four predictors'
 // histograms.
-func finishDataset[F linalg.Float](s *dsScratch[F], b, k2, workers int, skipProfile bool, setup float64) DatasetFeatures {
+func finishDataset[F linalg.Float](s *dsScratch[F], b, k2, workers int, setup float64) DatasetFeatures {
 	// Pairwise pass: per-block inter weights and spatial correlations,
 	// driven off the Gram matrix (see pairwisePass for which parts run
 	// across workers).
@@ -282,30 +279,14 @@ func finishDataset[F linalg.Float](s *dsScratch[F], b, k2, workers int, skipProf
 
 	// Spatial Diversity: SD = −Σ_b w^intra_b w^inter_b p_b log2 p_b with
 	// p_b = 1/B, and Spatial Correlation: SC = Σ SC_b w^intra / Σ w^intra.
-	// Each sum combines per-block terms in index order, so the totals are
-	// independent of the worker count.
+	// Each sum runs serially over i = 0 → B−1 in one chain, so the totals
+	// are independent of the worker count.
 	logB := math.Log2(float64(b))
 	var sd, scNum, scDen float64
-	if parallel.Workers(workers) == 1 {
-		// Serial fast path without escaping closures (see pairwisePass).
-		// Each accumulator sums its terms i = 0 → B−1 in one chain —
-		// exactly the order SumOrderedInto sums its scratch — so the
-		// two branches are bit-identical.
-		for i := 0; i < b; i++ {
-			sd += s.sd[i] * s.wInter[i] * logB / float64(b)
-			scNum += s.scBlock[i] * s.sd[i]
-			scDen += s.sd[i]
-		}
-	} else {
-		sd = parallel.SumOrderedInto(s.terms, workers, func(i int) float64 {
-			return s.sd[i] * s.wInter[i] * logB / float64(b)
-		})
-		scNum = parallel.SumOrderedInto(s.terms, workers, func(i int) float64 {
-			return s.scBlock[i] * s.sd[i]
-		})
-		scDen = parallel.SumOrderedInto(s.terms, workers, func(i int) float64 {
-			return s.sd[i]
-		})
+	for i := 0; i < b; i++ {
+		sd += s.sd[i] * s.wInter[i] * logB / float64(b)
+		scNum += s.scBlock[i] * s.sd[i]
+		scDen += s.sd[i]
 	}
 	sc := 0.0
 	if scDen > 0 {
@@ -335,7 +316,7 @@ func finishDataset[F linalg.Float](s *dsScratch[F], b, k2, workers int, skipProf
 	cg := codingGain(&sigma, eig)
 	cgOwn := time.Since(tCG).Seconds()
 	tTrunc := time.Now()
-	trunc, profile := covSVDTrunc(eig, skipProfile)
+	trunc, profile := covSVDTrunc(eig)
 	truncOwn := time.Since(tTrunc).Seconds()
 
 	// Record per-predictor cost under the documented fused-pass
@@ -383,9 +364,9 @@ func codingGain(sigma *linalg.Matrix, eig []float64) float64 {
 }
 
 // covSVDTrunc returns the percentage of singular values needed to reach
-// 99% of the spectrum mass, plus (unless skipped) the normalized decay
-// profile.
-func covSVDTrunc(eig []float64, skipProfile bool) (float64, []float64) {
+// 99% of the spectrum mass, plus the normalized decay profile of the
+// leading ProfileDim values.
+func covSVDTrunc(eig []float64) (float64, [ProfileDim]float64) {
 	n := len(eig)
 	var total float64
 	for _, v := range eig {
@@ -393,11 +374,8 @@ func covSVDTrunc(eig []float64, skipProfile bool) (float64, []float64) {
 			total += v
 		}
 	}
+	var profile [ProfileDim]float64
 	if total == 0 {
-		var profile []float64
-		if !skipProfile {
-			profile = make([]float64, n)
-		}
 		return 100.0 / float64(n), profile // degenerate: rank ≤ 1 behavior
 	}
 	var cum float64
@@ -411,15 +389,11 @@ func covSVDTrunc(eig []float64, skipProfile bool) (float64, []float64) {
 			break
 		}
 	}
-	var profile []float64
-	if !skipProfile {
-		profile = make([]float64, n)
-		for i, v := range eig {
-			if v < 0 {
-				v = 0
-			}
-			profile[i] = v / total
+	for i, v := range eig[:min(n, ProfileDim)] {
+		if v < 0 {
+			v = 0
 		}
+		profile[i] = v / total
 	}
 	return 100 * float64(m) / float64(n), profile
 }
@@ -436,8 +410,10 @@ func covSVDTrunc(eig []float64, skipProfile bool) (float64, []float64) {
 // tight bounds; (2) the rate term is the per-sample quantized entropy (the
 // classical Goyal form D = (1/12)·2^{2h}·2^{−2R}) rather than H/k², which
 // would divide a per-sample quantity by k² a second time.
+//
+// The distortion does not depend on cfg; the parameter keeps the
+// signature every feature function shares.
 func ComputeEB(buf *grid.Buffer, eps float64, cfg Config) (float64, error) {
-	cfg = cfg.withDefaults()
 	if err := validateEps(eps); err != nil {
 		return 0, err
 	}
@@ -445,10 +421,19 @@ func ComputeEB(buf *grid.Buffer, eps float64, cfg Config) (float64, error) {
 		return 0, fmt.Errorf("predictors: %w", err)
 	}
 	t0 := time.Now()
-	h := stats.HistogramEntropy(buf.Data, ebBins(cfg))
+	h := stats.HistogramEntropy(buf.Data, ebBins)
 	hq := stats.QuantizedEntropy(buf.Data, eps)
 	obsDist.Observe(time.Since(t0).Seconds())
-	return 2*h - 2*hq - math.Log2(12), nil
+	return distortion(h, hq), nil
+}
+
+// ebBins is the histogram resolution of the entropy estimate H.
+const ebBins = 1024
+
+// distortion is log2 D̂ = 2H − 2H^q − log2 12 from the histogram entropy
+// H and the quantized entropy H^q.
+func distortion(h, hq float64) float64 {
+	return 2*h - 2*hq - math.Log2(12)
 }
 
 func validateEps(eps float64) error {
@@ -457,16 +442,6 @@ func validateEps(eps float64) error {
 			crerr.ErrInvalidBuffer, eps)
 	}
 	return nil
-}
-
-// ebBins is the histogram resolution of the buffer-level entropy
-// estimators: buffer-level estimation supports a finer histogram than
-// the per-block default.
-func ebBins(cfg Config) int {
-	if cfg.Bins < 256 {
-		return 1024
-	}
-	return cfg.Bins
 }
 
 // Compute evaluates the full 5-feature covariate vector.

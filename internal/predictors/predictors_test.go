@@ -207,26 +207,35 @@ func TestCombine(t *testing.T) {
 	}
 }
 
+// TestSingularProfileNormalized: the profile holds the leading entries
+// of σ_i / Σσ, so they are non-negative, non-increasing and sum to at
+// most 1. At K = 2 the k² = 4 values all fit: they sum to 1 and the tail
+// is zero.
 func TestSingularProfileNormalized(t *testing.T) {
 	buf := smoothBuf(48, 48, 0.2, 43)
-	df, err := ComputeDataset(buf, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	prev := math.Inf(1)
-	for _, v := range df.SingularProfile {
-		if v < -1e-12 {
-			t.Fatalf("negative profile entry %g", v)
+	for _, k := range []int{8, 2} {
+		df, err := ComputeDataset(buf, Config{K: k})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if v > prev+1e-12 {
-			t.Fatal("profile not nonincreasing")
+		var sum float64
+		prev := math.Inf(1)
+		for i, v := range df.SingularProfile {
+			if v < 0 {
+				t.Fatalf("K=%d: negative profile entry %d: %g", k, i, v)
+			}
+			if v > prev {
+				t.Fatalf("K=%d: profile increases at entry %d", k, i)
+			}
+			if i >= k*k && v != 0 {
+				t.Fatalf("K=%d: entry %d past k² is %g, want 0", k, i, v)
+			}
+			prev = v
+			sum += v
 		}
-		prev = v
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("profile sums to %g", sum)
+		if sum > 1+1e-12 || (k*k <= ProfileDim && math.Abs(sum-1) > 1e-9) {
+			t.Errorf("K=%d: profile sums to %g", k, sum)
+		}
 	}
 }
 
@@ -283,8 +292,8 @@ func TestComputeVolume(t *testing.T) {
 	if vf.SliceStd.SD < 0 || math.IsNaN(vf.SliceStd.SD) {
 		t.Errorf("slice std = %g", vf.SliceStd.SD)
 	}
-	if len(vf.Mean.SingularProfile) == 0 {
-		t.Error("no pooled singular profile")
+	if vf.Mean.SingularProfile[0] <= 0 {
+		t.Errorf("pooled singular profile %v has no leading entry", vf.Mean.SingularProfile)
 	}
 	if vf.Mean.Distortion == 0 {
 		t.Error("volume distortion not computed")

@@ -70,14 +70,12 @@ type dsScratch[F linalg.Float] struct {
 	// Manhattan distance without per-pair div/mod.
 	posR, posC []float64
 
-	// Pairwise-pass outputs and the ordered-reduction term buffer. The
-	// sweep accumulates Σ Ds·De and Σ Ds·|ρ| straight into wInter and
-	// scBlock and Σ Ds into pairDs (the partner sums), then divides in
-	// place.
+	// Pairwise-pass outputs. The sweep accumulates Σ Ds·De and Σ Ds·|ρ|
+	// straight into wInter and scBlock and Σ Ds into pairDs (the partner
+	// sums), then divides in place.
 	wInter  []float64 // Σ Ds·De / Σ Ds
 	scBlock []float64 // Σ Ds·|ρ| / Σ Ds
 	pairDs  []float64 // Σ Ds
-	terms   []float64
 
 	// Second-moment accumulation target, the k²×k² matrix backing, and
 	// the pooled eigensolver working set.
@@ -127,7 +125,6 @@ func getScratch[F linalg.Float](b, k2 int) *dsScratch[F] {
 	s.wInter = grow(s.wInter, b)
 	s.scBlock = grow(s.scBlock, b)
 	s.pairDs = grow(s.pairDs, b)
-	s.terms = grow(s.terms, b)
 	s.lower = grow(s.lower, k2*(k2+1)/2)
 	s.sigma = grow(s.sigma, k2*k2)
 	s.eigVals = grow(s.eigVals, k2)

@@ -90,15 +90,15 @@ func TestScratchShapeChurnHammer(t *testing.T) {
 
 // TestComputeDatasetZeroAlloc pins the zero-steady-state-allocation
 // contract of the pooled predictor path: once the pools are warm, a
-// serial ComputeDataset with the profile output suppressed allocates
-// nothing — no closures, no scratch, no result slices. This is the
-// per-request feature cost inside a saturated batch worker.
+// serial ComputeDataset at the default configuration allocates nothing —
+// no closures, no scratch, no result slices. This is the per-request
+// feature cost inside a saturated batch worker.
 func TestComputeDatasetZeroAlloc(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items randomly under -race; alloc counts are nondeterministic")
 	}
 	buf := mixedMagnitudeBuffer(128, 128, 3)
-	cfg := Config{K: 8, Workers: 1, SkipProfile: true}
+	cfg := Config{K: 8, Workers: 1}
 	if _, err := ComputeDataset(buf, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestComputeDatasetZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm ComputeDataset (SkipProfile, workers=1): %.1f allocs/op, want 0", allocs)
+		t.Fatalf("warm ComputeDataset (workers=1): %.1f allocs/op, want 0", allocs)
 	}
 
 	// The float32 core fed from memory holds the same contract.
@@ -125,7 +125,7 @@ func TestComputeDatasetZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm float32 core (SkipProfile, workers=1): %.1f allocs/op, want 0", allocs)
+		t.Fatalf("warm float32 core (workers=1): %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -198,7 +198,7 @@ func TestComputeDataset512AllocBound(t *testing.T) {
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := ComputeDataset(buf, Config{K: 8, Workers: workers, SkipProfile: true}); err != nil {
+		if _, err := ComputeDataset(buf, Config{K: 8, Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

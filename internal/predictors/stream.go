@@ -260,10 +260,9 @@ func (f *streamFeaturizer[F]) Finish(eps ...float64) (DatasetFeatures, []float64
 		}
 		distortions = make([]float64, len(eps))
 		t0 := time.Now()
-		h := stats.HistogramEntropySeg(f.segs, ebBins(f.cfg))
+		h := stats.HistogramEntropySeg(f.segs, ebBins)
 		for i, e := range eps {
-			hq := stats.QuantizedEntropySeg(f.segs, e)
-			distortions[i] = 2*h - 2*hq - math.Log2(12)
+			distortions[i] = distortion(h, stats.QuantizedEntropySeg(f.segs, e))
 		}
 		obsDist.Observe(time.Since(t0).Seconds())
 	}
@@ -272,7 +271,7 @@ func (f *streamFeaturizer[F]) Finish(eps ...float64) (DatasetFeatures, []float64
 	// moment plus the second-moment triangle in one pass.
 	fillBlockStats(s, gm, math.Sqrt(gv), f.b, f.bc)
 	setup := time.Since(f.tStart).Seconds()
-	df := finishDataset(s, f.b, f.k2, f.cfg.Workers, f.cfg.SkipProfile, setup)
+	df := finishDataset(s, f.b, f.k2, f.cfg.Workers, setup)
 	return df, distortions, nil
 }
 

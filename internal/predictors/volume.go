@@ -27,7 +27,6 @@ type VolumeFeatures struct {
 
 // ComputeVolume evaluates the 3D extension for vol at bound eps.
 func ComputeVolume(vol *grid.Volume, eps float64, cfg Config) (VolumeFeatures, error) {
-	cfg = cfg.withDefaults()
 	if vol.NZ < 1 {
 		return VolumeFeatures{}, fmt.Errorf("predictors: empty volume")
 	}
@@ -58,31 +57,19 @@ func ComputeVolume(vol *grid.Volume, eps float64, cfg Config) (VolumeFeatures, e
 	out.SliceStd = DatasetFeatures{SD: sdStd, SC: scStd, CodingGain: cgStd, CovSVDTrunc: covStd}
 
 	// Pool the singular profiles (mean across slices) for similarity use.
-	if n := len(perSlice[0].SingularProfile); n > 0 {
-		profile := make([]float64, n)
-		for _, df := range perSlice {
-			for j, v := range df.SingularProfile {
-				profile[j] += v
-			}
+	profile := &out.Mean.SingularProfile
+	for _, df := range perSlice {
+		for j, v := range df.SingularProfile {
+			profile[j] += v
 		}
-		for j := range profile {
-			profile[j] /= float64(len(perSlice))
-		}
-		out.Mean.SingularProfile = profile
+	}
+	for j := range profile {
+		profile[j] /= float64(len(perSlice))
 	}
 
 	// Full-volume generic distortion.
 	if eps > 0 {
-		bins := cfg.Bins
-		if bins < 256 {
-			bins = 1024
-		}
-		h := stats.HistogramEntropy(vol.Data, bins)
-		hq := stats.QuantizedEntropy(vol.Data, eps)
-		out.Mean.Distortion = 2*h - 2*hq - log2of12
+		out.Mean.Distortion = distortion(stats.HistogramEntropy(vol.Data, ebBins), stats.QuantizedEntropy(vol.Data, eps))
 	}
 	return out, nil
 }
-
-// log2of12 = log2(12), the constant of the high-rate distortion formula.
-const log2of12 = 3.5849625007211561814537389439478
