@@ -18,9 +18,8 @@ type BatchStats = batch.Stats
 // sharing one race-safe feature cache across requests and batches, so
 // estimation stays cheap enough to run inline with parallel workloads (the
 // paper's §IV-C operating point). Its results are bit-identical to calling
-// Estimator.Estimate serially for any worker count or request order
-// (given a deterministic predictor configuration, i.e. Workers=1 inside
-// the predictor passes).
+// Estimator.Estimate serially for any worker count or request order, and
+// for any predictor Workers setting.
 type BatchEstimator = batch.Engine
 
 // FeatureCacheStats are the hit/miss counters of a FeatureCache.
@@ -33,8 +32,5 @@ type FeatureCacheStats = featcache.Stats
 // cache from the estimator's configuration. workers <= 0 selects
 // GOMAXPROCS.
 func NewBatchEstimator(est *Estimator, cache *FeatureCache, workers int) *BatchEstimator {
-	if cache == nil {
-		return batch.New(est, nil, workers)
-	}
-	return batch.New(est, cache.Cache(), workers)
+	return batch.New(est, cache, workers)
 }

@@ -8,12 +8,11 @@ import (
 	crest "github.com/crestlab/crest"
 )
 
-// serialPredCfg pins the intra-buffer predictor passes to one worker so
-// feature values are bit-deterministic: the CAS and mutex accumulators of
-// the §IV-C substrate are order-sensitive in the last float bits, so
-// bit-identity across runs is only defined at Workers=1. Batch-level
-// parallelism (many requests at once) never reorders a single request's
-// arithmetic, which is what these tests prove.
+// serialPredCfg runs the intra-buffer predictor passes on one worker.
+// The features have the same bits at every Workers setting (predictors'
+// TestReductionDeterminismAcrossWorkers pins that); these tests prove
+// that batch-level parallelism (many requests at once) never reorders a
+// single request's arithmetic.
 var serialPredCfg = crest.PredictorConfig{Workers: 1}
 
 func batchFixture(t *testing.T) (*crest.Estimator, []*crest.Buffer, []float64) {

@@ -450,6 +450,7 @@ func TestServeRegistryFlagValidation(t *testing.T) {
 		{"-registry", root, "-recalibrate"},
 		{"-registry", root, "-recal-window", "64"},
 		{"-registry", root, "-recal-band", "0.03"},
+		{"-registry", root, "-quota", "alice=10:0.5"},
 		{},
 	} {
 		if err := cmdServe(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...)); err == nil {

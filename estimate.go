@@ -5,6 +5,7 @@ import (
 
 	"github.com/crestlab/crest/internal/baselines"
 	"github.com/crestlab/crest/internal/core"
+	"github.com/crestlab/crest/internal/featcache"
 	"github.com/crestlab/crest/internal/predictors"
 )
 
@@ -61,13 +62,15 @@ func ComputeDatasetFeaturesNaive(buf *Buffer, cfg PredictorConfig) (DatasetFeatu
 }
 
 // ComputeDistortion evaluates the error-bound-specific generic distortion
-// (the "eb_predictors" of Algorithm 2), returned as log2(1+D̂).
+// (the "eb_predictors" of Algorithm 2), returned on the log2 scale:
+// log2 D̂ = 2H − 2H^q − log2 12, from the histogram entropy H of the
+// values and the entropy H^q of their ε-quantization.
 func ComputeDistortion(buf *Buffer, eps float64, cfg PredictorConfig) (float64, error) {
 	return predictors.ComputeEB(buf, eps, cfg)
 }
 
 // EstimatorConfig tunes the full estimation pipeline: predictors, mixture
-// regression, conformal calibration, CR cap and the optional feature mask.
+// regression, conformal calibration and the optional feature mask.
 type EstimatorConfig = core.Config
 
 // Sample is one training observation: covariates plus observed CR.
@@ -141,10 +144,11 @@ func NewProposedMethod(cfg EstimatorConfig) *baselines.Proposed { return baselin
 // singleflight admission): any number of goroutines may share one cache,
 // and each buffer's features are computed exactly once even under
 // concurrent first requests.
-type FeatureCache = baselines.FeatureCache
+type FeatureCache = featcache.Cache
 
-// NewFeatureCache returns an empty shareable feature cache.
-func NewFeatureCache(cfg EstimatorConfig) *FeatureCache { return baselines.NewFeatureCache(cfg) }
+// NewFeatureCache returns an empty shareable feature cache for the
+// predictor configuration of cfg.
+func NewFeatureCache(cfg EstimatorConfig) *FeatureCache { return featcache.New(cfg.Predictors) }
 
 // NewProposedMethodShared is NewProposedMethod with a shared feature
 // cache.

@@ -64,36 +64,9 @@ func NewProposed(cfg core.Config) *Proposed {
 // with other instances. The five predictors are compressor-independent, so
 // per-compressor models (use case B) should share one cache: features for
 // each buffer are then computed once, not once per candidate compressor.
-func NewProposedShared(cfg core.Config, cache *FeatureCache) *Proposed {
-	return &Proposed{Cfg: cfg, cache: cache.inner}
+func NewProposedShared(cfg core.Config, cache *featcache.Cache) *Proposed {
+	return &Proposed{Cfg: cfg, cache: cache}
 }
-
-// FeatureCache is a shareable, race-safe cache of predictor features keyed
-// by buffer content and error bound (a thin wrapper over the sharded,
-// byte-bounded singleflight cache of internal/featcache). One
-// FeatureCache may be shared by any number of methods and goroutines.
-type FeatureCache struct {
-	inner *featcache.Cache
-}
-
-// NewFeatureCache returns an empty shareable cache for the predictor
-// configuration.
-func NewFeatureCache(cfg core.Config) *FeatureCache {
-	return &FeatureCache{inner: featcache.New(cfg.Predictors)}
-}
-
-// Features returns the five-feature covariate vector of buf at eps,
-// computed on first use and cached thereafter. Safe for concurrent use.
-func (c *FeatureCache) Features(buf *grid.Buffer, eps float64) ([]float64, error) {
-	return c.inner.Features(buf, eps)
-}
-
-// Stats returns a snapshot of the cache hit/miss counters.
-func (c *FeatureCache) Stats() featcache.Stats { return c.inner.Stats() }
-
-// Cache exposes the underlying sharded cache for engines that consume it
-// directly (the batch estimator).
-func (c *FeatureCache) Cache() *featcache.Cache { return c.inner }
 
 // Name implements Method.
 func (p *Proposed) Name() string { return "proposed" }
@@ -219,9 +192,11 @@ func (p *Proposed) WarmContext(ctx context.Context, bufs []*grid.Buffer, epses [
 	return p.cache.WarmContext(ctx, bufs, epses, workers)
 }
 
-func logCR(cr, cap float64) float64 {
-	if cr > cap {
-		cr = cap
+// logCR is the training target: the log of the ratio clamped to
+// (0, core.DefaultCRCap].
+func logCR(cr float64) float64 {
+	if cr > core.DefaultCRCap {
+		cr = core.DefaultCRCap
 	}
 	if cr < 1e-9 {
 		cr = 1e-9

@@ -7,7 +7,9 @@ import (
 
 	"github.com/crestlab/crest/internal/compressors"
 	"github.com/crestlab/crest/internal/core"
+	"github.com/crestlab/crest/internal/featcache"
 	"github.com/crestlab/crest/internal/grid"
+	"github.com/crestlab/crest/internal/predictors"
 	"github.com/crestlab/crest/internal/stats"
 	"github.com/crestlab/crest/internal/synthdata"
 )
@@ -184,7 +186,7 @@ func TestSharedFeatureCache(t *testing.T) {
 	comp := compressors.MustNew("szinterp")
 	eps := 1e-3
 	train, trainCR, test, _ := trainingData(t, "QSNOW", comp, eps)
-	shared := NewFeatureCache(core.Config{})
+	shared := featcache.New(predictors.Config{})
 	a := NewProposedShared(core.Config{}, shared)
 	b := NewProposedShared(core.Config{}, shared)
 	if err := a.Fit(train, trainCR, eps); err != nil {

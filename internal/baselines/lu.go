@@ -16,13 +16,10 @@ import (
 // structure, so applying it to any other compressor family produces the
 // large systematic errors of Table II, and the paper excludes it from
 // non-SZ comparisons in Fig. 7.
-type Lu struct {
-	// BlockSize matches the SZ2-style prediction blocks (default 8).
-	BlockSize int
-}
+type Lu struct{}
 
-// NewLu returns the Lu baseline with default parameters.
-func NewLu() *Lu { return &Lu{BlockSize: 8} }
+// NewLu returns the Lu baseline.
+func NewLu() *Lu { return &Lu{} }
 
 // Name implements Method.
 func (l *Lu) Name() string { return "lu" }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/crestlab/crest/internal/compressors"
 	"github.com/crestlab/crest/internal/core"
+	"github.com/crestlab/crest/internal/featcache"
 	"github.com/crestlab/crest/internal/grid"
 	"github.com/crestlab/crest/internal/predictors"
 )
@@ -33,7 +34,7 @@ func TestFeatureCacheConcurrentHammer(t *testing.T) {
 	}
 	epses := []float64{1e-2, 1e-3}
 
-	ref := NewFeatureCache(cfg)
+	ref := featcache.New(cfg.Predictors)
 	want := make([][][]float64, len(bufs))
 	for i, b := range bufs {
 		want[i] = make([][]float64, len(epses))
@@ -46,7 +47,7 @@ func TestFeatureCacheConcurrentHammer(t *testing.T) {
 		}
 	}
 
-	shared := NewFeatureCache(cfg)
+	shared := featcache.New(cfg.Predictors)
 	const goroutines = 12
 	const iters = 40
 	var wg sync.WaitGroup
@@ -98,7 +99,7 @@ func TestProposedSharedCacheConcurrentPredict(t *testing.T) {
 	comp := compressors.MustNew("zfplike")
 	trainBufs, trainCRs, testBufs, _ := trainingData(t, "TC", comp, 1e-3)
 	cfg := core.Config{Predictors: predictors.Config{Workers: 1}}
-	shared := NewFeatureCache(cfg)
+	shared := featcache.New(cfg.Predictors)
 	pa := NewProposedShared(cfg, shared)
 	pb := NewProposedShared(cfg, shared)
 	if err := pa.Fit(trainBufs, trainCRs, 1e-3); err != nil {

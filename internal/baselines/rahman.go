@@ -9,6 +9,13 @@ import (
 	"github.com/crestlab/crest/internal/predictors"
 )
 
+// The tree's shape: at most rahmanMaxDepth levels, and at least
+// rahmanMinLeaf samples per leaf.
+const (
+	rahmanMaxDepth = 6
+	rahmanMinLeaf  = 3
+)
+
 // Rahman is the decision-tree baseline in the style of Rahman et al.
 // (§III: "a black-box approach leveraging decision trees combined with
 // generally applicable statistical predictors"). It fits a CART
@@ -18,20 +25,13 @@ import (
 // cannot interpolate within a leaf, which is where the mixture regression
 // wins.
 type Rahman struct {
-	// MaxDepth caps the tree depth (default 6).
-	MaxDepth int
-	// MinLeaf is the minimum samples per leaf (default 3).
-	MinLeaf int
-	// CRCap clamps training ratios (default 100).
-	CRCap float64
-
 	root  *treeNode
 	cache *featcache.Cache
 }
 
-// NewRahman returns the decision-tree baseline with default parameters.
+// NewRahman returns the decision-tree baseline.
 func NewRahman() *Rahman {
-	return &Rahman{MaxDepth: 6, MinLeaf: 3, CRCap: 100, cache: featcache.New(predictors.Config{})}
+	return &Rahman{cache: featcache.New(predictors.Config{})}
 }
 
 // Name implements Method.
@@ -60,7 +60,7 @@ func (r *Rahman) Fit(bufs []*grid.Buffer, crs []float64, eps float64) error {
 			return err
 		}
 		x[i] = feats
-		y[i] = logCR(crs[i], r.CRCap)
+		y[i] = logCR(crs[i])
 	}
 	idx := make([]int, len(x))
 	for i := range idx {
@@ -72,7 +72,7 @@ func (r *Rahman) Fit(bufs []*grid.Buffer, crs []float64, eps float64) error {
 
 func (r *Rahman) build(x [][]float64, y []float64, idx []int, depth int) *treeNode {
 	node := &treeNode{value: meanAt(y, idx)}
-	if len(idx) < 2*r.MinLeaf || depth >= r.MaxDepth {
+	if len(idx) < 2*rahmanMinLeaf || depth >= rahmanMaxDepth {
 		return node
 	}
 	bestSSE := sseAt(y, idx)
@@ -86,7 +86,7 @@ func (r *Rahman) build(x [][]float64, y []float64, idx []int, depth int) *treeNo
 		}
 		sorted := append([]float64(nil), vals...)
 		sort.Float64s(sorted)
-		for s := r.MinLeaf; s <= len(sorted)-r.MinLeaf; s++ {
+		for s := rahmanMinLeaf; s <= len(sorted)-rahmanMinLeaf; s++ {
 			if sorted[s] == sorted[s-1] {
 				continue
 			}
@@ -102,7 +102,7 @@ func (r *Rahman) build(x [][]float64, y []float64, idx []int, depth int) *treeNo
 					rN++
 				}
 			}
-			if lN < r.MinLeaf || rN < r.MinLeaf {
+			if lN < rahmanMinLeaf || rN < rahmanMinLeaf {
 				continue
 			}
 			lMean, rMean := lSum/float64(lN), rSum/float64(rN)

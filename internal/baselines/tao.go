@@ -12,16 +12,17 @@ import (
 // a compressor invocation, and — because it ignores prediction and the
 // lossless back end — is exceptionally inaccurate, which is exactly the
 // trade-off the paper quantifies (MedAPE near 90%).
-type Tao struct {
-	// SampleStride keeps every SampleStride-th block (default 4, i.e.
-	// 25% of blocks sampled).
-	SampleStride int
-	// BlockSize is the sampling block edge (default 8).
-	BlockSize int
-}
+type Tao struct{}
 
-// NewTao returns the Tao baseline with default parameters.
-func NewTao() *Tao { return &Tao{SampleStride: 4, BlockSize: 8} }
+// Tao samples every taoStride-th block of taoBlock × taoBlock values,
+// in raster order: 25% of the blocks.
+const (
+	taoStride = 4
+	taoBlock  = 8
+)
+
+// NewTao returns the Tao baseline.
+func NewTao() *Tao { return &Tao{} }
 
 // Name implements Method.
 func (t *Tao) Name() string { return "tao" }
@@ -35,26 +36,17 @@ func (t *Tao) Fit(bufs []*grid.Buffer, crs []float64, eps float64) error { retur
 
 // Predict implements Method.
 func (t *Tao) Predict(buf *grid.Buffer, eps float64) (float64, error) {
-	stride := t.SampleStride
-	if stride <= 0 {
-		stride = 4
-	}
-	bs := t.BlockSize
-	if bs <= 0 {
-		bs = 8
-	}
-	// Sample every stride-th block in raster order.
-	sample := make([]float64, 0, len(buf.Data)/stride+bs*bs)
-	nbr := (buf.Rows + bs - 1) / bs
-	nbc := (buf.Cols + bs - 1) / bs
+	sample := make([]float64, 0, len(buf.Data)/taoStride+taoBlock*taoBlock)
+	nbr := (buf.Rows + taoBlock - 1) / taoBlock
+	nbc := (buf.Cols + taoBlock - 1) / taoBlock
 	idx := 0
 	for br := 0; br < nbr; br++ {
 		for bc := 0; bc < nbc; bc++ {
-			if idx%stride == 0 {
-				r1 := minInt((br+1)*bs, buf.Rows)
-				c1 := minInt((bc+1)*bs, buf.Cols)
-				for i := br * bs; i < r1; i++ {
-					for j := bc * bs; j < c1; j++ {
+			if idx%taoStride == 0 {
+				r1 := minInt((br+1)*taoBlock, buf.Rows)
+				c1 := minInt((bc+1)*taoBlock, buf.Cols)
+				for i := br * taoBlock; i < r1; i++ {
+					for j := bc * taoBlock; j < c1; j++ {
 						sample = append(sample, buf.Data[i*buf.Cols+j])
 					}
 				}

@@ -18,20 +18,15 @@ import (
 // linear extrapolation on the log scale is what produces the enormous
 // out-of-field errors the paper reports in Table II.
 type Underwood struct {
-	// PredCfg configures the block decomposition used for SVD truncation.
-	PredCfg predictors.Config
-	// CRCap clamps training ratios (default 100, matching the protocol).
-	CRCap float64
-
 	beta []float64 // intercept + 2 coefficients; nil before Fit
 
 	mu  sync.Mutex // guards svd against concurrent Predict calls
 	svd map[*grid.Buffer]float64
 }
 
-// NewUnderwood returns the Underwood baseline with default parameters.
+// NewUnderwood returns the Underwood baseline.
 func NewUnderwood() *Underwood {
-	return &Underwood{PredCfg: predictors.Config{}, CRCap: 100, svd: make(map[*grid.Buffer]float64)}
+	return &Underwood{svd: make(map[*grid.Buffer]float64)}
 }
 
 // Name implements Method.
@@ -47,7 +42,7 @@ func (u *Underwood) features(buf *grid.Buffer, eps float64) ([2]float64, error) 
 	trunc, ok := u.svd[buf]
 	u.mu.Unlock()
 	if !ok {
-		t, err := predictors.NaiveCovSVDTrunc(buf, u.PredCfg)
+		t, err := predictors.NaiveCovSVDTrunc(buf, predictors.Config{})
 		if err != nil {
 			return [2]float64{}, err
 		}
@@ -96,7 +91,7 @@ func (u *Underwood) fitRows(bufs []*grid.Buffer, crs [][]float64, epses []float6
 				return err
 			}
 			row := [p]float64{1, f[0], f[1]}
-			y := logCR(crs[i][j], u.CRCap)
+			y := logCR(crs[i][j])
 			for a := 0; a < p; a++ {
 				atb[a] += row[a] * y
 				for c := 0; c < p; c++ {

@@ -8,9 +8,10 @@
 // Every request's features come from a shared featcache.Cache, so a batch
 // touching the same buffer at several bounds (or several batches touching
 // the same content) computes each buffer's dataset predictors once while
-// they stay within the cache's byte budget. Results are written by request index, which makes the engine's
-// output bit-identical to the serial Estimate path for any worker count
-// and any request order (given a deterministic predictor configuration).
+// they stay within the cache's byte budget. Results are written by
+// request index, which makes the engine's output bit-identical to the
+// serial Estimate path for any worker count and any request order; the
+// predictor passes give the same bits at every Workers setting.
 package batch
 
 import (
@@ -95,9 +96,9 @@ func (e *Engine) SetObs(r *obs.Registry) {
 	if r == nil {
 		r = obs.Default()
 	}
-	e.hFeature = r.Histogram("batch_feature_seconds", nil)
-	e.hEstim = r.Histogram("batch_estimate_seconds", nil)
-	e.hRequest = r.Histogram("batch_request_seconds", nil)
+	e.hFeature = r.Histogram("batch_feature_seconds")
+	e.hEstim = r.Histogram("batch_estimate_seconds")
+	e.hRequest = r.Histogram("batch_request_seconds")
 }
 
 // Workers returns the resolved worker-pool bound.

@@ -13,8 +13,8 @@ const (
 	BreakerClosed BreakerState = iota
 	// BreakerOpen rejects requests until OpenFor has elapsed.
 	BreakerOpen
-	// BreakerHalfOpen admits a bounded number of probe requests; enough
-	// successes close the breaker, any failure reopens it.
+	// BreakerHalfOpen admits one probe request at a time; a probe
+	// success closes the breaker, a failure reopens it.
 	BreakerHalfOpen
 )
 
@@ -37,15 +37,9 @@ type BreakerConfig struct {
 	// FailureThreshold is the consecutive-failure count that trips a
 	// closed breaker open (default 5).
 	FailureThreshold int
-	// OpenFor is how long an open breaker rejects before admitting
-	// half-open probes (default 2s).
+	// OpenFor is how long an open breaker rejects before admitting a
+	// half-open probe (default 2s).
 	OpenFor time.Duration
-	// HalfOpenProbes bounds concurrently admitted probe requests in the
-	// half-open state (default 1).
-	HalfOpenProbes int
-	// HalfOpenSuccesses is the probe-success count that closes a
-	// half-open breaker (default 1).
-	HalfOpenSuccesses int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -55,18 +49,12 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.OpenFor <= 0 {
 		c.OpenFor = 2 * time.Second
 	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
-	if c.HalfOpenSuccesses <= 0 {
-		c.HalfOpenSuccesses = 1
-	}
 	return c
 }
 
 // Breaker is one peer's circuit breaker: closed while the peer behaves,
 // open after FailureThreshold consecutive failures, half-open after
-// OpenFor to let a bounded probe stream test recovery. Acquire/Success/
+// OpenFor to let one probe at a time test recovery. Acquire/Success/
 // Failure are safe for concurrent use; every Acquire that returns true
 // must be paired with exactly one Success or Failure.
 type Breaker struct {
@@ -77,8 +65,7 @@ type Breaker struct {
 	state      BreakerState
 	fails      int // consecutive failures while closed
 	openedAt   time.Time
-	probes     int // inflight half-open probes
-	probeOK    int // successful probes this half-open episode
+	probe      bool // a half-open probe is in flight
 	trips      uint64
 	transition func(BreakerState) // observer hook, called with mu held
 }
@@ -119,14 +106,13 @@ func (b *Breaker) Acquire() bool {
 			return false
 		}
 		b.setState(BreakerHalfOpen)
-		b.probes = 1
-		b.probeOK = 0
+		b.probe = true
 		return true
 	case BreakerHalfOpen:
-		if b.probes >= b.cfg.HalfOpenProbes {
+		if b.probe {
 			return false
 		}
-		b.probes++
+		b.probe = true
 		return true
 	}
 	return false
@@ -140,12 +126,9 @@ func (b *Breaker) Success() {
 	case BreakerClosed:
 		b.fails = 0
 	case BreakerHalfOpen:
-		b.probes--
-		b.probeOK++
-		if b.probeOK >= b.cfg.HalfOpenSuccesses {
-			b.setState(BreakerClosed)
-			b.fails = 0
-		}
+		b.probe = false
+		b.setState(BreakerClosed)
+		b.fails = 0
 	}
 }
 
@@ -160,7 +143,7 @@ func (b *Breaker) Failure() {
 			b.trip()
 		}
 	case BreakerHalfOpen:
-		b.probes--
+		b.probe = false
 		b.trip()
 	}
 }
@@ -172,8 +155,8 @@ func (b *Breaker) Failure() {
 func (b *Breaker) Cancel() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerHalfOpen && b.probes > 0 {
-		b.probes--
+	if b.state == BreakerHalfOpen {
+		b.probe = false
 	}
 }
 

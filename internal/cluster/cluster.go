@@ -35,6 +35,17 @@ const ServedByHeader = "X-Crest-Served-By"
 // model and marking the response degraded.
 var ErrNoPeers = errors.New("cluster: no eligible peer")
 
+// maxResponseBytes caps a forwarded response body.
+const maxResponseBytes = 64 << 20
+
+// The adaptive hedge delay is the hedgePercentile of recent forward
+// latencies, clamped to [hedgeMin, hedgeMax].
+const (
+	hedgePercentile = 0.90
+	hedgeMin        = 2 * time.Millisecond
+	hedgeMax        = 250 * time.Millisecond
+)
+
 // Config assembles a Cluster. Self and Peers are required; everything
 // else has serviceable defaults.
 type Config struct {
@@ -57,17 +68,11 @@ type Config struct {
 	// ForwardTimeout bounds one forwarded request (default 10s).
 	ForwardTimeout time.Duration
 
-	// MaxResponseBytes caps a forwarded response body (default 64 MiB).
-	MaxResponseBytes int64
-
 	// HedgeAfter is the fixed delay before the backup replica is tried.
-	// Zero selects the adaptive delay: the HedgePercentile of recent
-	// forward latencies, clamped to [HedgeMin, HedgeMax]. Negative
+	// Zero selects the adaptive delay: the hedgePercentile of recent
+	// forward latencies, clamped to [hedgeMin, hedgeMax]. Negative
 	// disables hedging.
-	HedgeAfter      time.Duration
-	HedgePercentile float64       // default 0.90
-	HedgeMin        time.Duration // default 2ms
-	HedgeMax        time.Duration // default 250ms
+	HedgeAfter time.Duration
 
 	// Retry drives the per-request forwarding loop; each retry attempt
 	// rotates to a different eligible owner (never the peer that just
@@ -103,21 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ForwardTimeout <= 0 {
 		c.ForwardTimeout = 10 * time.Second
-	}
-	if c.MaxResponseBytes <= 0 {
-		c.MaxResponseBytes = 64 << 20
-	}
-	if c.HedgePercentile <= 0 || c.HedgePercentile >= 1 {
-		c.HedgePercentile = 0.90
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 2 * time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 250 * time.Millisecond
-	}
-	if c.HedgeMax < c.HedgeMin {
-		c.HedgeMax = c.HedgeMin
 	}
 	if c.Retry.MaxAttempts <= 0 {
 		c.Retry.MaxAttempts = 3
@@ -161,7 +151,7 @@ func newClusterMetrics(r *obs.Registry) clusterMetrics {
 		breakerTrips: r.Counter("cluster_breaker_trips_total"),
 		ejections:    r.Counter("cluster_ejections_total"),
 		recoveries:   r.Counter("cluster_recoveries_total"),
-		latency:      r.Histogram("cluster_forward_seconds", nil),
+		latency:      r.Histogram("cluster_forward_seconds"),
 	}
 }
 
@@ -498,23 +488,23 @@ func (c *Cluster) attempt(ctx context.Context, primary string, req DoRequest) (R
 }
 
 // hedgeDelay resolves the backup-send delay: the fixed HedgeAfter when
-// configured, otherwise the HedgePercentile of recent forward latencies
-// clamped to [HedgeMin, HedgeMax] (HedgeMax before enough samples exist —
+// configured, otherwise the hedgePercentile of recent forward latencies
+// clamped to [hedgeMin, hedgeMax] (hedgeMax before enough samples exist —
 // hedge conservatively until the latency profile is known).
 func (c *Cluster) hedgeDelay() time.Duration {
 	if c.cfg.HedgeAfter > 0 {
 		return c.cfg.HedgeAfter
 	}
-	p, ok := c.lat.percentile(c.cfg.HedgePercentile)
+	p, ok := c.lat.percentile(hedgePercentile)
 	if !ok {
-		return c.cfg.HedgeMax
+		return hedgeMax
 	}
 	d := time.Duration(p * float64(time.Second))
-	if d < c.cfg.HedgeMin {
-		d = c.cfg.HedgeMin
+	if d < hedgeMin {
+		d = hedgeMin
 	}
-	if d > c.cfg.HedgeMax {
-		d = c.cfg.HedgeMax
+	if d > hedgeMax {
+		d = hedgeMax
 	}
 	return d
 }
@@ -564,7 +554,7 @@ func (c *Cluster) forwardLeg(ctx context.Context, peer string, req DoRequest) (R
 			return Result{}, fmt.Errorf("cluster: forward to %s: %w", peer, err)
 		}
 	}
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxResponseBytes))
+	body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	resp.Body.Close()
 	if rerr != nil {
 		b.Failure()

@@ -113,7 +113,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("state = %v, want half-open", got)
 	}
 	if b.Acquire() {
-		t.Fatal("half-open breaker admitted a second concurrent probe (HalfOpenProbes=1)")
+		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
 	b.Failure() // probe fails → reopen
 	if got := b.State(); got != BreakerOpen {

@@ -24,8 +24,9 @@ import (
 	"github.com/crestlab/crest/internal/stats"
 )
 
-// DefaultCRCap caps compression ratios during training; the paper focuses
-// on CR ≤ 100 as the operational regime (§IV-B).
+// DefaultCRCap caps compression ratios in training, estimates and
+// scoring; the paper focuses on CR ≤ 100 as the operational regime
+// (§IV-B).
 const DefaultCRCap = 100
 
 // Config tunes the full estimation pipeline.
@@ -36,21 +37,12 @@ type Config struct {
 	Mixture mixreg.Config
 	// Conformal configures the interval calibration.
 	Conformal conformal.Config
-	// CRCap clamps training compression ratios (default 100).
-	CRCap float64
 	// FeatureMask enables a subset of the five features; nil enables all.
 	// Used by the Fig. 1 ablation study.
 	FeatureMask []bool
 	// ConformalSplits > 1 enables multi-split conformal prediction
 	// (median radius over independent splits); default 1 (single split).
 	ConformalSplits int
-}
-
-func (c Config) withDefaults() Config {
-	if c.CRCap <= 0 {
-		c.CRCap = DefaultCRCap
-	}
-	return c
 }
 
 // Sample is one training observation: the covariates of a buffer at an
@@ -123,7 +115,6 @@ func TrainGrouped(samples []Sample, groups []int, cfg Config) (*Estimator, error
 // only when even the fallback cannot fit does it return an error matching
 // crerr.ErrModelDegenerate.
 func TrainGroupedContext(ctx context.Context, samples []Sample, groups []int, cfg Config) (*Estimator, error) {
-	cfg = cfg.withDefaults()
 	if len(samples) == 0 {
 		return nil, ErrNoSamples
 	}
@@ -163,8 +154,8 @@ func TrainGroupedContext(ctx context.Context, samples []Sample, groups []int, cf
 		}
 		x[i] = row
 		cr := s.CR
-		if cr > cfg.CRCap {
-			cr = cfg.CRCap
+		if cr > DefaultCRCap {
+			cr = DefaultCRCap
 		}
 		if cr <= 0 || math.IsNaN(cr) {
 			return nil, fmt.Errorf("core: sample %d has invalid CR %g", i, s.CR)
@@ -269,7 +260,7 @@ func (e *Estimator) standardize(features []float64) ([]float64, error) {
 
 // Estimate predicts the compression ratio and its conformal interval for
 // one covariate vector, back-transforming from the log scale and clamping
-// to [1, CRCap] on the point estimate's natural range.
+// to [1, DefaultCRCap] on the point estimate's natural range.
 func (e *Estimator) Estimate(features []float64) (Estimate, error) {
 	for i, v := range features {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -286,12 +277,12 @@ func (e *Estimator) Estimate(features []float64) (Estimate, error) {
 	} else {
 		iv = e.model.Predict(row)
 	}
-	// The model is trained on CR ∈ (0, CRCap]; predictions outside that
-	// range are extrapolations, so the point estimate is clamped to the
-	// training regime (the interval keeps its raw width).
+	// The model is trained on CR ∈ (0, DefaultCRCap]; predictions
+	// outside that range are extrapolations, so the point estimate is
+	// clamped to the training regime (the interval keeps its raw width).
 	point := math.Exp(iv.Point)
-	if point > e.cfg.CRCap {
-		point = e.cfg.CRCap
+	if point > DefaultCRCap {
+		point = DefaultCRCap
 	}
 	if point < 1 {
 		point = 1
@@ -360,8 +351,8 @@ func (e *Estimator) ObserveActual(features []float64, actualCR float64) (conform
 		return conformal.OnlineStats{}, false, err
 	}
 	cr := actualCR
-	if cr > e.cfg.CRCap {
-		cr = e.cfg.CRCap
+	if cr > DefaultCRCap {
+		cr = DefaultCRCap
 	}
 	st, recal := e.online.Observe(row, math.Log(cr))
 	return st, recal, nil
@@ -383,7 +374,7 @@ func (e *Estimator) Coverage(samples []Sample) float64 {
 		if err != nil {
 			continue
 		}
-		cr := math.Min(s.CR, e.cfg.CRCap)
+		cr := math.Min(s.CR, DefaultCRCap)
 		if est.Contains(cr) {
 			hits++
 		}

@@ -145,9 +145,8 @@ func FromState(st *EstimatorState) (*Estimator, error) {
 		}
 		inner = conformal.Ensemble(parts)
 	}
-	cfg := st.Config.withDefaults()
 	est := &Estimator{
-		cfg:      cfg,
+		cfg:      st.Config,
 		model:    conformal.Restore(inner, st.Radius, st.Lambda, st.NCalib),
 		mask:     append([]bool(nil), st.Mask...),
 		mean:     append([]float64(nil), st.Mean...),

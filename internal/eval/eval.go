@@ -15,14 +15,12 @@ import (
 
 	"github.com/crestlab/crest/internal/baselines"
 	"github.com/crestlab/crest/internal/compressors"
+	"github.com/crestlab/crest/internal/core"
 	"github.com/crestlab/crest/internal/crerr"
 	"github.com/crestlab/crest/internal/grid"
 	"github.com/crestlab/crest/internal/parallel"
 	"github.com/crestlab/crest/internal/stats"
 )
-
-// CRCap is the operational compression-ratio cap of the protocol (§IV-B).
-const CRCap = 100
 
 // Quantiles are the 10%, 50% and 90% quantiles of the per-fold MedAPEs,
 // the summary Algorithm 2 line 18 reports.
@@ -35,9 +33,10 @@ func (q Quantiles) String() string {
 }
 
 // CRCache memoizes ground-truth compression ratios per (buffer,
-// compressor, bound), already capped at CRCap. It is safe for concurrent
-// use: entries admit singleflight-style, so racing first requests for the
-// same key run the compressor exactly once.
+// compressor, bound), already capped at core.DefaultCRCap, the
+// operational cap of the protocol (§IV-B). It is safe for concurrent use:
+// entries admit singleflight-style, so racing first requests for the same
+// key run the compressor exactly once.
 type CRCache struct {
 	mu sync.Mutex
 	m  map[crKey]*crEntry
@@ -83,8 +82,8 @@ func (c *CRCache) Ratio(comp compressors.Compressor, buf *grid.Buffer, eps float
 			}
 		}()
 		cr, err := compressors.Ratio(comp, buf, eps)
-		if err == nil && cr > CRCap {
-			cr = CRCap
+		if err == nil && cr > core.DefaultCRCap {
+			cr = core.DefaultCRCap
 		} else if err != nil {
 			err = fmt.Errorf("%w: %v", crerr.ErrCompressor, err)
 		}

@@ -147,7 +147,7 @@ func TestCRCacheCapsRatios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr > CRCap {
+	if cr > core.DefaultCRCap {
 		t.Errorf("cached CR %g above cap", cr)
 	}
 }

@@ -17,38 +17,24 @@ import (
 	"github.com/crestlab/crest/internal/stats"
 )
 
+// The EM settings: selectMaxL caps the k-means selection of the
+// component count, ridge is the M-step L2 regularization, maxIter caps
+// the EM iterations and tol is the relative log-likelihood convergence
+// threshold.
+const (
+	selectMaxL = 4
+	ridge      = 1e-6
+	maxIter    = 200
+	tol        = 1e-8
+)
+
 // Config tunes the EM fit.
 type Config struct {
 	// L fixes the number of latent components; 0 selects it with k-means
-	// silhouette up to MaxL.
+	// silhouette up to selectMaxL.
 	L int
-	// MaxL caps the automatic selection (default 4).
-	MaxL int
-	// Ridge is the M-step L2 regularization (default 1e-6).
-	Ridge float64
-	// MaxIter caps EM iterations (default 200).
-	MaxIter int
-	// Tol is the relative log-likelihood convergence threshold
-	// (default 1e-8).
-	Tol float64
 	// Seed drives the deterministic initialization.
 	Seed int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxL <= 0 {
-		c.MaxL = 4
-	}
-	if c.Ridge <= 0 {
-		c.Ridge = 1e-6
-	}
-	if c.MaxIter <= 0 {
-		c.MaxIter = 200
-	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-8
-	}
-	return c
 }
 
 // Model is a fitted mixture of linear regressions: component weights π_l,
@@ -85,7 +71,6 @@ func Fit(x [][]float64, y []float64, cfg Config) (*Model, error) {
 // before every EM iteration, so a cancelled training run returns within
 // one iteration with an error matching crerr.ErrCanceled.
 func FitContext(ctx context.Context, x [][]float64, y []float64, cfg Config) (*Model, error) {
-	cfg = cfg.withDefaults()
 	n := len(x)
 	if n == 0 || len(y) != n {
 		return nil, ErrNoData
@@ -126,14 +111,14 @@ func FitContext(ctx context.Context, x [][]float64, y []float64, cfg Config) (*M
 
 	sigmaFloor := 1e-6*stats.StdDev(y) + 1e-12
 	prevLL := math.Inf(-1)
-	for iter := 1; iter <= cfg.MaxIter; iter++ {
+	for iter := 1; iter <= maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, crerr.Canceled(err)
 		}
 		// M-step: weighted ridge regression per component, plus the
 		// covariate moments of the gating distribution.
 		for c := 0; c < l; c++ {
-			beta, sigma, weight := wls(x, y, resp, c, cfg.Ridge, sigmaFloor)
+			beta, sigma, weight := wls(x, y, resp, c, sigmaFloor)
 			m.Beta[c] = beta
 			m.Sigma[c] = sigma
 			m.Pi[c] = weight / float64(n)
@@ -165,7 +150,7 @@ func FitContext(ctx context.Context, x [][]float64, y []float64, cfg Config) (*M
 		}
 		m.LogLik = ll
 		m.Iterations = iter
-		if iter > 1 && math.Abs(ll-prevLL) <= cfg.Tol*(math.Abs(prevLL)+1) {
+		if iter > 1 && math.Abs(ll-prevLL) <= tol*(math.Abs(prevLL)+1) {
 			break
 		}
 		prevLL = ll
@@ -204,7 +189,7 @@ func (m *Model) Degenerate() bool {
 // joint standardized (x, y) space (§IV-B1).
 func selectL(x [][]float64, y []float64, cfg Config) int {
 	pts := joint(x, y)
-	return kmeans.SelectK(pts, cfg.MaxL, 0.25, cfg.Seed)
+	return kmeans.SelectK(pts, selectMaxL, 0.25, cfg.Seed)
 }
 
 // joint builds standardized (x, y) points for clustering.
@@ -256,7 +241,7 @@ func initResponsibilities(x [][]float64, y []float64, l int, seed int64) [][]flo
 
 // wls solves the responsibility-weighted ridge regression for component c
 // and returns (β, σ, total weight).
-func wls(x [][]float64, y []float64, resp [][]float64, c int, ridge, sigmaFloor float64) ([]float64, float64, float64) {
+func wls(x [][]float64, y []float64, resp [][]float64, c int, sigmaFloor float64) ([]float64, float64, float64) {
 	d := len(x[0])
 	p := d + 1
 	ata := linalg.NewMatrix(p, p)

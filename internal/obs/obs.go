@@ -73,13 +73,13 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // ---------------------------------------------------------------------------
 // Histogram
 
-// DefBuckets is the default latency bucket layout in seconds: roughly
-// logarithmic from 10µs to 10s, dense enough that interpolated p99
-// estimates stay within a bucket's width of the truth across the
-// pipeline's operating range (predictor evaluation is typically
-// 10µs–100ms; HTTP requests 100µs–seconds). The final implicit bucket
-// catches everything above the last boundary.
-var DefBuckets = []float64{
+// buckets is the latency bucket layout of every histogram: ascending
+// upper bounds in seconds, roughly logarithmic from 10µs to 10s, dense
+// enough that interpolated p99 estimates stay within a bucket's width of
+// the truth across the pipeline's operating range (predictor evaluation
+// is typically 10µs–100ms; HTTP requests 100µs–seconds). The final
+// implicit bucket catches everything above the last boundary.
+var buckets = [...]float64{
 	1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
 	1e-1, 2.5e-1, 5e-1, 1, 2.5, 5, 10,
@@ -89,19 +89,15 @@ var DefBuckets = []float64{
 // recorded with atomics only; quantiles are estimated at snapshot time by
 // linear interpolation within the covering bucket.
 type Histogram struct {
-	bounds []float64       // upper bounds, ascending; len(counts) == len(bounds)+1
-	counts []atomic.Uint64 // counts[i] covers (bounds[i-1], bounds[i]]
+	counts [len(buckets) + 1]atomic.Uint64 // counts[i] covers (buckets[i-1], buckets[i]]
 	count  atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
 	min    atomic.Uint64 // float64 bits
 	max    atomic.Uint64 // float64 bits
 }
 
-func newHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	sort.Float64s(b)
-	h := &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
+func newHistogram() *Histogram {
+	h := &Histogram{}
 	h.min.Store(math.Float64bits(math.Inf(1)))
 	h.max.Store(math.Float64bits(math.Inf(-1)))
 	return h
@@ -116,7 +112,7 @@ func (h *Histogram) Observe(v float64) {
 	if v < 0 {
 		v = 0
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
+	i := sort.SearchFloat64s(buckets[:], v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	atomicAddFloat(&h.sum, v)
@@ -210,10 +206,10 @@ func (h *Histogram) quantile(counts []uint64, total uint64, q float64) float64 {
 		if rank <= next {
 			lo, hi := 0.0, max
 			if i > 0 {
-				lo = h.bounds[i-1]
+				lo = buckets[i-1]
 			}
-			if i < len(h.bounds) {
-				hi = h.bounds[i]
+			if i < len(buckets) {
+				hi = buckets[i]
 			}
 			// Clamp the bucket span to the observed range: observations
 			// in this bucket cannot lie below Min or above Max.
@@ -300,20 +296,15 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the histogram registered under name, creating it
-// with the given bucket upper bounds on first use (nil selects
-// DefBuckets). The bucket layout of an existing histogram is not
-// re-checked: first registration wins.
-func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
+// on first use.
+func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok := r.histograms[name]; ok {
 		return h
 	}
 	r.mustBeFree(name, "histogram")
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	h := newHistogram(buckets)
+	h := newHistogram()
 	r.histograms[name] = h
 	return h
 }

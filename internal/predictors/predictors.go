@@ -70,11 +70,11 @@ import (
 // CovSVDTrunc, each of which then adds its own (cheap) finishing stage.
 // See DESIGN.md "Observability".
 var (
-	obsSD   = obs.Default().Histogram("predictor_sd_seconds", nil)
-	obsSC   = obs.Default().Histogram("predictor_sc_seconds", nil)
-	obsCG   = obs.Default().Histogram("predictor_coding_gain_seconds", nil)
-	obsSVD  = obs.Default().Histogram("predictor_cov_svd_seconds", nil)
-	obsDist = obs.Default().Histogram("predictor_distortion_seconds", nil)
+	obsSD   = obs.Default().Histogram("predictor_sd_seconds")
+	obsSC   = obs.Default().Histogram("predictor_sc_seconds")
+	obsCG   = obs.Default().Histogram("predictor_coding_gain_seconds")
+	obsSVD  = obs.Default().Histogram("predictor_cov_svd_seconds")
+	obsDist = obs.Default().Histogram("predictor_distortion_seconds")
 )
 
 // NumFeatures is the number of covariates of the prediction model (§IV-B).

@@ -8,9 +8,21 @@ import (
 	"github.com/crestlab/crest/internal/conformal"
 )
 
+// regressFactor and apeSlack set the canary's rollback bound: the
+// candidate regresses when its MedAPE exceeds regressFactor·active +
+// apeSlack percentage points. The multiplicative term scales with how
+// hard the workload is; the additive slack keeps tiny absolute
+// differences from triggering on easy workloads. coverageSlack is the
+// tolerated conformal-coverage deficit: the candidate regresses when its
+// empirical coverage falls more than this far below the active model's.
+const (
+	regressFactor = 1.25
+	apeSlack      = 2.0
+	coverageSlack = 0.10
+)
+
 // CanaryConfig tunes the canary controller: how much traffic the
-// candidate sees, how much evidence a decision needs, and the regression
-// and win margins.
+// candidate sees and how much evidence a decision needs.
 type CanaryConfig struct {
 	// Fraction of requests split to the candidate (default 0.1).
 	Fraction float64
@@ -26,19 +38,6 @@ type CanaryConfig struct {
 	// EvalEvery re-evaluates the comparison every N observations once
 	// MinObs is reached (default 8).
 	EvalEvery int
-
-	// RegressFactor and APESlack set the rollback bound: the candidate
-	// regresses when its MedAPE exceeds RegressFactor·active + APESlack
-	// percentage points (defaults 1.25 and 2.0). The multiplicative term
-	// scales with how hard the workload is; the additive slack keeps tiny
-	// absolute differences from triggering on easy workloads.
-	RegressFactor float64
-	APESlack      float64
-
-	// CoverageSlack is the tolerated conformal-coverage deficit: the
-	// candidate regresses when its empirical coverage falls more than
-	// this far below the active model's (default 0.10).
-	CoverageSlack float64
 
 	// SustainEvals is how many consecutive winning evaluations promote
 	// the candidate (default 3).
@@ -62,15 +61,6 @@ func (c CanaryConfig) withDefaults() CanaryConfig {
 	}
 	if c.EvalEvery <= 0 {
 		c.EvalEvery = 8
-	}
-	if c.RegressFactor <= 0 {
-		c.RegressFactor = 1.25
-	}
-	if c.APESlack <= 0 {
-		c.APESlack = 2.0
-	}
-	if c.CoverageSlack <= 0 {
-		c.CoverageSlack = 0.10
 	}
 	if c.SustainEvals <= 0 {
 		c.SustainEvals = 3
@@ -187,13 +177,13 @@ func (r *Registry) decideLocked(ln *lineage) string {
 	activeCov := float64(c.ActiveHits) / float64(c.WindowObs)
 	candCov := float64(c.CandHits) / float64(c.WindowObs)
 
-	regressed := candMed > activeMed*cc.RegressFactor+cc.APESlack ||
-		candCov < activeCov-cc.CoverageSlack
+	regressed := candMed > activeMed*regressFactor+apeSlack ||
+		candCov < activeCov-coverageSlack
 	if regressed {
 		r.rollbackCanaryLocked(ln, true, decisionReason(activeMed, candMed, activeCov, candCov))
 		return "rollback"
 	}
-	win := candMed <= activeMed+cc.APESlack && candCov >= activeCov-cc.CoverageSlack/2
+	win := candMed <= activeMed+apeSlack && candCov >= activeCov-coverageSlack/2
 	if !win {
 		c.WinStreak = 0
 		return ""

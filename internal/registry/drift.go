@@ -27,12 +27,11 @@ type DriftConfig struct {
 	// MedAPEThreshold is the rolling MedAPE (percent) that declares
 	// drift. 0 disables drift detection.
 	MedAPEThreshold float64
-
-	// Cooldown is the minimum spacing between retrain triggers
-	// (default 5m), so a persistently hard workload retrains once, not in
-	// a loop.
-	Cooldown time.Duration
 }
+
+// driftCooldown is the minimum spacing between retrain triggers, so a
+// persistently hard workload retrains once, not in a loop.
+const driftCooldown = 5 * time.Minute
 
 func (c DriftConfig) withDefaults() DriftConfig {
 	if c.Window <= 0 {
@@ -40,9 +39,6 @@ func (c DriftConfig) withDefaults() DriftConfig {
 	}
 	if c.MinObs <= 0 {
 		c.MinObs = 32
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 5 * time.Minute
 	}
 	return c
 }
@@ -71,7 +67,7 @@ func (d *driftTracker) drifted(now time.Time) bool {
 	if d.cfg.MedAPEThreshold <= 0 || len(d.ring) < d.cfg.MinObs {
 		return false
 	}
-	if !d.lastTrigger.IsZero() && now.Sub(d.lastTrigger) < d.cfg.Cooldown {
+	if !d.lastTrigger.IsZero() && now.Sub(d.lastTrigger) < driftCooldown {
 		return false
 	}
 	return median(d.ring) >= d.cfg.MedAPEThreshold

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -18,6 +19,20 @@ func (q TenantQuota) withDefaults() TenantQuota {
 		q.Burst = math.Max(1, q.Rate)
 	}
 	return q
+}
+
+// validate refuses a quota under which a tenant could never be admitted:
+// take spends whole tokens, so a limited bucket needs a burst of at least
+// one, and a NaN or infinite rate or burst makes its token count NaN.
+func (q TenantQuota) validate() error {
+	q = q.withDefaults()
+	switch {
+	case math.IsNaN(q.Rate) || math.IsInf(q.Rate, 0) || math.IsNaN(q.Burst) || math.IsInf(q.Burst, 0):
+		return fmt.Errorf("rate %g and burst %g must be finite", q.Rate, q.Burst)
+	case q.Rate > 0 && q.Burst < 1:
+		return fmt.Errorf("burst %g is below one request, so nothing would be admitted", q.Burst)
+	}
+	return nil
 }
 
 // QuotaConfig configures per-tenant admission quotas. Quota exhaustion is
@@ -41,6 +56,20 @@ type QuotaConfig struct {
 	// burst; if none has, the name shares one overflow bucket sized
 	// like Default. An unlimited Default stores no buckets.
 	MaxTenants int
+}
+
+// validate checks the Default quota and every tenant's, naming the
+// tenant whose quota is refused.
+func (c QuotaConfig) validate() error {
+	if err := c.Default.validate(); err != nil {
+		return fmt.Errorf("registry: default quota: %w", err)
+	}
+	for name, q := range c.Tenants {
+		if err := q.validate(); err != nil {
+			return fmt.Errorf("registry: quota of tenant %q: %w", name, err)
+		}
+	}
+	return nil
 }
 
 // defaultMaxTenants bounds the per-tenant bucket table.

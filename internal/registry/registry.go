@@ -66,7 +66,8 @@ type Config struct {
 	// Logf, when set, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
 
-	// Now is the clock (time.Now when nil); tests inject a fake.
+	// Now is the clock (time.Now when nil): the one place a caller can
+	// run the registry on another clock. Nothing sets it today.
 	Now func() time.Time
 }
 
@@ -143,7 +144,7 @@ func newMetrics(r *obs.Registry) metrics {
 		rollbacks:      r.Counter("registry_rollbacks_total"),
 		retrains:       r.Counter("registry_retrains_total"),
 		retrainFails:   r.Counter("registry_retrain_failures_total"),
-		decisionSecs:   r.Histogram("registry_decision_seconds", nil),
+		decisionSecs:   r.Histogram("registry_decision_seconds"),
 		tenantRequests: r.Counter("tenant_requests_total"),
 		tenantRejects:  r.Counter("tenant_quota_rejections_total"),
 	}
@@ -171,6 +172,9 @@ func Open(cfg Config) (*Registry, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Root == "" {
 		return nil, errors.New("registry: no root directory")
+	}
+	if err := cfg.Quota.validate(); err != nil {
+		return nil, err
 	}
 	r := &Registry{
 		cfg:      cfg,

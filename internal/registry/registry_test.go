@@ -662,6 +662,44 @@ func TestQuotaTableEvictsRefilledBuckets(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesQuotaThatAdmitsNothing: a bucket admits only at a
+// whole token, so a limited quota with a burst below one never held one,
+// and its tenant got a 429 on every request for good: at 10 req/s and a
+// burst of 0.5, one request per second was admitted 0 times in 100. Open
+// refuses such a quota, and one whose numbers are not finite, and names
+// the tenant.
+func TestOpenRefusesQuotaThatAdmitsNothing(t *testing.T) {
+	for _, tc := range []struct {
+		quota QuotaConfig
+		want  string
+	}{
+		{QuotaConfig{Tenants: map[string]TenantQuota{"alice": {Rate: 10, Burst: 0.5}}}, `tenant "alice"`},
+		{QuotaConfig{Default: TenantQuota{Rate: 10, Burst: 0.5}}, "default quota"},
+		{QuotaConfig{Tenants: map[string]TenantQuota{"bob": {Rate: 1, Burst: math.NaN()}}}, `tenant "bob"`},
+		{QuotaConfig{Tenants: map[string]TenantQuota{"carol": {Rate: math.Inf(1)}}}, `tenant "carol"`},
+	} {
+		r, err := Open(Config{Root: t.TempDir(), Quota: tc.quota, Obs: obs.NewRegistry()})
+		if err == nil {
+			r.Close()
+			t.Errorf("%+v: Open accepted a quota that admits nothing", tc.quota)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: error %q does not name %s", tc.quota, err, tc.want)
+		}
+	}
+	// A burst of one whole request, or the default burst, is accepted.
+	r := openTest(t, t.TempDir(), func(c *Config) {
+		c.Quota = QuotaConfig{
+			Default: TenantQuota{Rate: 0.5},
+			Tenants: map[string]TenantQuota{"alice": {Rate: 10, Burst: 1}},
+		}
+	})
+	if _, ok := r.AllowTenant("alice"); !ok {
+		t.Fatal("alice's first request denied under a burst of one")
+	}
+}
+
 // TestCanaryRouteZeroAlloc pins the per-request cost of the lifecycle
 // layer: resolving a route while a canary split is in flight, and the
 // tenant quota check on both an admitted and a rejected tenant, allocate

@@ -22,6 +22,9 @@ import (
 	"github.com/crestlab/crest/internal/crerr"
 )
 
+// multiplier grows the backoff delay between attempts.
+const multiplier = 2
+
 // Policy configures the backoff loop. The zero value is usable and picks
 // the defaults documented per field.
 type Policy struct {
@@ -31,8 +34,6 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps every delay, hint or not (default 5s).
 	MaxDelay time.Duration
-	// Multiplier grows the delay between attempts (default 2).
-	Multiplier float64
 	// Jitter is the symmetric relative jitter applied to each delay:
 	// d → d·(1 + Jitter·u), u uniform in [−1, 1) (default 0.2; negative
 	// disables). Jitter decorrelates clients that shed at the same
@@ -55,9 +56,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 5 * time.Second
-	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = 2
 	}
 	if p.Jitter == 0 {
 		p.Jitter = 0.2
@@ -136,7 +134,7 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) erro
 		if err := p.Sleep(ctx, wait); err != nil {
 			return crerr.Canceled(err)
 		}
-		delay = time.Duration(float64(delay) * p.Multiplier)
+		delay = time.Duration(float64(delay) * multiplier)
 		if delay > p.MaxDelay {
 			delay = p.MaxDelay
 		}

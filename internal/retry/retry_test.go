@@ -46,7 +46,7 @@ func TestDoSucceedsAfterTransientFailures(t *testing.T) {
 func TestDoBacksOffExponentiallyWithJitterBounds(t *testing.T) {
 	var waits []time.Duration
 	p := Policy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond, MaxDelay: time.Hour,
-		Multiplier: 2, Jitter: 0.2, Seed: 42, Sleep: fakeSleep(&waits)}
+		Jitter: 0.2, Seed: 42, Sleep: fakeSleep(&waits)}
 	fail := errors.New("always")
 	err := p.Do(context.Background(), func(context.Context) error { return fail })
 	if !errors.Is(err, fail) {

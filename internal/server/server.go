@@ -260,7 +260,7 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		latency:       make(map[string]*obs.Histogram, len(endpointLabels)),
 	}
 	for _, l := range endpointLabels {
-		m.latency[l] = r.Histogram("http_request_seconds_"+l, nil)
+		m.latency[l] = r.Histogram("http_request_seconds_" + l)
 	}
 	return m
 }

@@ -165,8 +165,8 @@ func Save(path string, est *core.Estimator) error {
 // disk or a recurring corrupt snapshot shows up at GET /metrics instead
 // of only in logs.
 var (
-	obsSave      = obs.Default().Histogram("snapshot_save_seconds", nil)
-	obsLoad      = obs.Default().Histogram("snapshot_load_seconds", nil)
+	obsSave      = obs.Default().Histogram("snapshot_save_seconds")
+	obsLoad      = obs.Default().Histogram("snapshot_load_seconds")
 	obsLoadFails = obs.Default().Counter("snapshot_load_failures_total")
 	obsFallbacks = obs.Default().Counter("snapshot_fallbacks_total")
 )
