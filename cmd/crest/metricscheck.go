@@ -51,7 +51,7 @@ var requiredGauges = []string{"server_queue_depth", "server_inflight"}
 // registryHistograms/Gauges/Counters are additionally required when
 // -registry is set: the series a registry-mode server must expose after
 // serving at least one routed estimate. Lifecycle counters (publishes,
-// promotions, rollbacks, retrains) must exist but need not have fired.
+// promotions, rollbacks) must exist but need not have fired.
 var registryHistograms = []struct {
 	name    string
 	nonzero bool
@@ -70,8 +70,6 @@ var registryCounters = []struct {
 	{"registry_publishes_total", false},
 	{"registry_promotions_total", false},
 	{"registry_rollbacks_total", false},
-	{"registry_retrains_total", false},
-	{"registry_retrain_failures_total", false},
 	{"tenant_requests_total", true},
 	{"tenant_quota_rejections_total", false},
 	{"snapshot_pruned_total", false},

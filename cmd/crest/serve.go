@@ -65,23 +65,18 @@ func cmdServe(ctx context.Context, args []string) error {
 	if sources != 1 {
 		return fmt.Errorf("need exactly one of -model, -model-dir or -registry")
 	}
-	if *registryDir != "" {
-		var conflict string
-		if *peers != "" {
-			conflict = "peers"
-		}
-		// Each lineage carries its own recalibration state, so these
-		// would be silently ignored. Visit sees a flag set explicitly even
-		// to its default, and the window and band defaults are non-zero.
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "recalibrate", "recal-window", "recal-band":
-				conflict = f.Name
-			}
-		})
-		if conflict != "" {
-			return fmt.Errorf("-registry and -%s are mutually exclusive", conflict)
-		}
+	if *registryDir != "" && *peers != "" {
+		return errors.New("-registry and -peers are mutually exclusive")
+	}
+	// Each lineage carries its own recalibration state, so -recalibrate
+	// would be silently ignored under -registry.
+	if *registryDir != "" && *recal {
+		return errors.New("-registry and -recalibrate are mutually exclusive")
+	}
+	if err := checkModeFlags(fs, map[string]bool{
+		"registry": *registryDir != "", "peers": *peers != "", "recalibrate": *recal,
+	}); err != nil {
+		return err
 	}
 
 	var est *crest.Estimator
@@ -93,11 +88,11 @@ func cmdServe(ctx context.Context, args []string) error {
 			return qerr
 		}
 		reg, err = registry.Open(registry.Config{
-			Root:    *registryDir,
-			Workers: *workers,
-			Keep:    *keep,
-			Canary:  registry.CanaryConfig{Fraction: *canaryFraction},
-			Quota:   qcfg,
+			Root:           *registryDir,
+			Workers:        *workers,
+			Keep:           *keep,
+			CanaryFraction: *canaryFraction,
+			Quota:          qcfg,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "crest serve: registry: "+format+"\n", args...)
 			},
@@ -239,4 +234,34 @@ func cmdServe(ctx context.Context, args []string) error {
 	fmt.Fprintf(os.Stderr, "crest serve: drained; served %d, shed %d, failed %d\n",
 		st.Served, st.Shed, st.Failed)
 	return nil
+}
+
+// modeFlags maps each serve flag that only one mode reads to the flag
+// that turns the mode on.
+var modeFlags = map[string]string{
+	"quota":             "registry",
+	"keep":              "registry",
+	"canary-fraction":   "registry",
+	"self":              "peers",
+	"replicas":          "peers",
+	"forward-depth":     "peers",
+	"hedge-after":       "peers",
+	"breaker-threshold": "peers",
+	"breaker-open-for":  "peers",
+	"recal-window":      "recalibrate",
+	"recal-band":        "recalibrate",
+}
+
+// checkModeFlags refuses a flag set for a mode that is off, which serve
+// would otherwise ignore without a word. Visit sees a flag set explicitly
+// even to its default, and walks the flags in lexical order, so the error
+// names the same flag every time.
+func checkModeFlags(fs *flag.FlagSet, on map[string]bool) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if mode, ok := modeFlags[f.Name]; ok && !on[mode] && err == nil {
+			err = fmt.Errorf("-%s needs -%s", f.Name, mode)
+		}
+	})
+	return err
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -434,27 +435,53 @@ func TestServeRegistryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeRegistryFlagValidation pins the mutual-exclusion rules. The
-// registry is servable and the context already canceled, so a flag that
-// serve accepted but ignored would start, drain and return nil instead
-// of failing.
+// TestServeRegistryFlagValidation pins the mode rules: the model sources
+// and modes that exclude each other, and the flags that only one mode
+// reads, each refused when its mode is off. The model is servable and the
+// context already canceled, so a flag that serve accepted but ignored
+// would start, drain and return nil instead of failing.
 func TestServeRegistryFlagValidation(t *testing.T) {
 	root := t.TempDir()
-	trainTinySnapshot(t, filepath.Join(root, "default"))
+	dir := filepath.Join(root, "default")
+	trainTinySnapshot(t, dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, args := range [][]string{
-		{"-registry", root, "-model", "y"},
-		{"-registry", root, "-model-dir", "y"},
-		{"-registry", root, "-peers", "http://a,http://b"},
-		{"-registry", root, "-recalibrate"},
-		{"-registry", root, "-recal-window", "64"},
-		{"-registry", root, "-recal-band", "0.03"},
-		{"-registry", root, "-quota", "alice=10:0.5"},
-		{},
+	for _, tc := range []struct {
+		args []string
+		want string // in the error; "" for arguments serve must accept
+	}{
+		{[]string{"-registry", root, "-model", "y"}, "exactly one"},
+		{[]string{"-registry", root, "-model-dir", "y"}, "exactly one"},
+		{[]string{"-registry", root, "-peers", "http://a,http://b"}, "-peers"},
+		{[]string{"-registry", root, "-recalibrate"}, "-recalibrate"},
+		{[]string{"-registry", root, "-recal-window", "64"}, "-recal-window needs -recalibrate"},
+		{[]string{"-registry", root, "-recal-band", "0.03"}, "-recal-band needs -recalibrate"},
+		{[]string{"-registry", root, "-quota", "alice=10:0.5"}, `tenant "alice"`},
+		{[]string{"-registry", root, "-canary-fraction", "NaN"}, "canary fraction NaN"},
+		{[]string{"-registry", root, "-canary-fraction", "1.5"}, "canary fraction 1.5"},
+		{[]string{"-model-dir", dir, "-quota", "alice=1"}, "-quota needs -registry"},
+		{[]string{"-model-dir", dir, "-keep", "3"}, "-keep needs -registry"},
+		{[]string{"-model-dir", dir, "-canary-fraction", "0.5"}, "-canary-fraction needs -registry"},
+		{[]string{"-model-dir", dir, "-self", "http://x"}, "-self needs -peers"},
+		{[]string{"-model-dir", dir, "-replicas", "3"}, "-replicas needs -peers"},
+		{[]string{"-model-dir", dir, "-forward-depth", "2"}, "-forward-depth needs -peers"},
+		{[]string{"-model-dir", dir, "-hedge-after", "5ms"}, "-hedge-after needs -peers"},
+		{[]string{"-model-dir", dir, "-breaker-threshold", "3"}, "-breaker-threshold needs -peers"},
+		{[]string{"-model-dir", dir, "-breaker-open-for", "1s"}, "-breaker-open-for needs -peers"},
+		{[]string{"-model-dir", dir, "-recal-window", "64"}, "-recal-window needs -recalibrate"},
+		{[]string{"-model-dir", dir, "-recal-band", "0.05"}, "-recal-band needs -recalibrate"},
+		{nil, "exactly one"},
+		{[]string{"-registry", root, "-quota", "alice=1", "-keep", "3", "-canary-fraction", "0.5"}, ""},
+		{[]string{"-model-dir", dir, "-recalibrate", "-recal-window", "64", "-recal-band", "0.05"}, ""},
 	} {
-		if err := cmdServe(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...)); err == nil {
-			t.Errorf("args %v: expected a flag validation error", args)
+		err := cmdServe(ctx, append([]string{"-addr", "127.0.0.1:0"}, tc.args...))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("args %v: %v", tc.args, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("args %v: expected a flag validation error", tc.args)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("args %v: error %q does not say %q", tc.args, err, tc.want)
 		}
 	}
 }

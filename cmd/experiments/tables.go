@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"math"
 
 	crest "github.com/crestlab/crest"
 )
@@ -110,18 +109,10 @@ func runTable3(cfg runConfig) error {
 	if err := cfg.writeCSV("table3_similarity", append([]string{"field"}, sim.Fields...), t3CSV); err != nil {
 		return err
 	}
-	fmt.Printf("\nself-distance baseline (diagonal mean): %.2f\n", selfBaseline(sim))
+	fmt.Printf("\nself-distance baseline (diagonal mean): %.2f\n", sim.SelfDistanceBaseline())
 	fmt.Println("(hydrometeor fields cluster; QVAPOR and V are the far outliers,")
 	fmt.Println(" matching the structure of the paper's Table III)")
 	return nil
-}
-
-func selfBaseline(sim *crest.SimilarityMatrix) float64 {
-	var s float64
-	for i := range sim.Fields {
-		s += sim.D[i][i]
-	}
-	return s / math.Max(float64(len(sim.Fields)), 1)
 }
 
 func truncName(s string, n int) string {

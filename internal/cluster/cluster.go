@@ -277,9 +277,6 @@ func (c *Cluster) Close() {
 // Self returns this node's own peer URL.
 func (c *Cluster) Self() string { return c.cfg.Self }
 
-// Peers returns the full static peer list.
-func (c *Cluster) Peers() []string { return c.ring.Peers() }
-
 // MaxForwardDepth returns the configured hop budget.
 func (c *Cluster) MaxForwardDepth() int { return c.cfg.MaxForwardDepth }
 

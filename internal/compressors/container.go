@@ -169,11 +169,3 @@ func openStream(tag byte, data []byte) (rows, cols int, payload []byte, err erro
 	}
 	return int(ur), int(uc), payload, nil
 }
-
-// rawStoreBytes encodes the full buffer verbatim; the universal fallback
-// when a lossy path cannot certify the error bound.
-func rawStoreBytes(data []float64) []byte {
-	var w wbuf
-	w.putFloats(data)
-	return w.Bytes()
-}

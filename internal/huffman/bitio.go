@@ -42,9 +42,6 @@ func (w *BitWriter) Bytes() []byte {
 	return w.buf
 }
 
-// BitLen returns the number of bits written so far.
-func (w *BitWriter) BitLen() int { return len(w.buf)*8 + int(w.nCur) }
-
 // BitReader unpacks bits MSB-first from a byte slice.
 type BitReader struct {
 	buf  []byte

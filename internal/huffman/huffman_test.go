@@ -63,18 +63,6 @@ func TestBitIOProperty(t *testing.T) {
 	}
 }
 
-func TestBitLen(t *testing.T) {
-	w := NewBitWriter()
-	w.WriteBits(1, 5)
-	if w.BitLen() != 5 {
-		t.Errorf("BitLen = %d", w.BitLen())
-	}
-	w.WriteBits(0, 4)
-	if w.BitLen() != 9 {
-		t.Errorf("BitLen = %d", w.BitLen())
-	}
-}
-
 func TestEncodeDecodeEmpty(t *testing.T) {
 	blob, st := Encode(nil)
 	if st.Symbols != 0 {

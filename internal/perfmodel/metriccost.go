@@ -39,22 +39,6 @@ func (m MetricCostModel) Cost(p, k int, nc, gamma float64) float64 {
 		m.CEigen*fk*fk*fk*fk*fk*fk/gamma // (k²)³ eigensolve
 }
 
-// DominantTerm names the asymptotically dominating term at (p, k).
-func (m MetricCostModel) DominantTerm(p, k int, nc, gamma float64) string {
-	fp, fk := float64(p), float64(k)
-	pairs := m.CPairs * fp * fp * fp * fp / (fk * fk * fk * fk * nc)
-	outer := m.COuter * fp * fp * fk * fk / (nc * gamma)
-	eigen := m.CEigen * fk * fk * fk * fk * fk * fk / gamma
-	switch {
-	case pairs >= outer && pairs >= eigen:
-		return "pairs"
-	case eigen >= outer:
-		return "eigen"
-	default:
-		return "outer"
-	}
-}
-
 // FitMetricCost calibrates the model from measured (p, k, seconds)
 // samples by non-negative least squares on the three basis terms (solved
 // by projected coordinate descent — three variables, so exact enough).

@@ -32,9 +32,6 @@ func New(eps float64, radius int) *Quantizer {
 	return &Quantizer{eps: eps, radius: radius}
 }
 
-// Eps returns the error bound.
-func (q *Quantizer) Eps() float64 { return q.eps }
-
 // Radius returns the quantization radius.
 func (q *Quantizer) Radius() int { return q.radius }
 

@@ -12,9 +12,6 @@ func TestDefaults(t *testing.T) {
 	if q.Radius() != DefaultRadius {
 		t.Errorf("Radius = %d", q.Radius())
 	}
-	if q.Eps() != 1e-3 {
-		t.Errorf("Eps = %g", q.Eps())
-	}
 }
 
 func TestQuantizeRoundTripBound(t *testing.T) {

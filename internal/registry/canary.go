@@ -21,60 +21,24 @@ const (
 	coverageSlack = 0.10
 )
 
-// CanaryConfig tunes the canary controller: how much traffic the
-// candidate sees and how much evidence a decision needs.
-type CanaryConfig struct {
-	// Fraction of requests split to the candidate (default 0.1).
-	Fraction float64
-
-	// Window is the rolling APE comparison window in observations
-	// (default 128).
-	Window int
-
-	// MinObs is the minimum number of scored observations before any
-	// decision (default 24).
-	MinObs int
-
-	// EvalEvery re-evaluates the comparison every N observations once
-	// MinObs is reached (default 8).
-	EvalEvery int
-
-	// SustainEvals is how many consecutive winning evaluations promote
-	// the candidate (default 3).
-	SustainEvals int
-
-	// PersistEvery bounds replay after a crash: canary counters are
-	// persisted at least every N observations (default 16) in addition to
-	// at every decision.
-	PersistEvery int
-}
-
-func (c CanaryConfig) withDefaults() CanaryConfig {
-	if c.Fraction <= 0 || c.Fraction > 1 {
-		c.Fraction = 0.1
-	}
-	if c.Window <= 0 {
-		c.Window = 128
-	}
-	if c.MinObs <= 0 {
-		c.MinObs = 24
-	}
-	if c.EvalEvery <= 0 {
-		c.EvalEvery = 8
-	}
-	if c.SustainEvals <= 0 {
-		c.SustainEvals = 3
-	}
-	if c.PersistEvery <= 0 {
-		c.PersistEvery = 16
-	}
-	return c
-}
+// The evidence a canary decision needs. The candidate and the active
+// model are compared over the last canaryWindow scored observations. No
+// decision is taken before canaryMinObs of them; from then on the
+// comparison is re-evaluated every canaryEvalEvery, and
+// canarySustainEvals consecutive winning evaluations promote. The canary
+// counters are persisted at least every canaryPersistEvery observations,
+// besides at every decision, which bounds the replay after a crash.
+const (
+	canaryWindow       = 128
+	canaryMinObs       = 24
+	canaryEvalEvery    = 8
+	canarySustainEvals = 3
+	canaryPersistEvery = 16
+)
 
 // FeedbackResult reports what one feedback observation did to the
-// lineage: the online-recalibration outcome of the active model, the
-// canary decision (if this observation triggered one), and whether drift
-// kicked off a background retrain.
+// lineage: the online-recalibration outcome of the active model and the
+// canary decision, if this observation triggered one.
 type FeedbackResult struct {
 	Lineage   string
 	ActiveSeq int
@@ -86,10 +50,6 @@ type FeedbackResult struct {
 
 	// Decision is "", "promote" or "rollback".
 	Decision string
-
-	// RetrainStarted reports that this observation's drift check kicked
-	// off a background retrain.
-	RetrainStarted bool
 }
 
 // ObserveFeedback scores one ground-truth observation (feature vector +
@@ -117,8 +77,6 @@ func (r *Registry) ObserveFeedback(name string, features []float64, actualCR flo
 			res.Recalibrated = recal
 		}
 	}
-	ln.drift.observe(ape(activeEst.CR, actualCR))
-	res.RetrainStarted = r.maybeRetrainLocked(ln)
 
 	c := ln.st.Canary
 	if c == nil || ln.candidate == nil {
@@ -136,9 +94,8 @@ func (r *Registry) ObserveFeedback(name string, features []float64, actualCR flo
 		ln.candidate.est.ObserveActual(features, actualCR) //nolint:errcheck // advisory
 	}
 
-	cc := r.cfg.Canary
-	c.ActiveAPE = pushRing(c.ActiveAPE, ape(activeEst.CR, actualCR), cc.Window)
-	c.CandAPE = pushRing(c.CandAPE, ape(candEst.CR, actualCR), cc.Window)
+	c.ActiveAPE = pushRing(c.ActiveAPE, ape(activeEst.CR, actualCR))
+	c.CandAPE = pushRing(c.CandAPE, ape(candEst.CR, actualCR))
 	if activeEst.Contains(actualCR) {
 		c.ActiveHits++
 	}
@@ -149,12 +106,12 @@ func (r *Registry) ObserveFeedback(name string, features []float64, actualCR flo
 	c.Observed++
 	ln.unsaved++
 
-	if c.Observed >= cc.MinObs && c.Observed%cc.EvalEvery == 0 {
+	if c.Observed >= canaryMinObs && c.Observed%canaryEvalEvery == 0 {
 		start := time.Now()
 		res.Decision = r.decideLocked(ln)
 		r.obs.decisionSecs.Observe(time.Since(start).Seconds())
 	}
-	if res.Decision == "" && ln.unsaved >= cc.PersistEvery {
+	if res.Decision == "" && ln.unsaved >= canaryPersistEvery {
 		if err := saveState(r.cfg.FS, ln.dir, ln.st); err != nil {
 			r.cfg.Logf("registry: %s: canary persist: %v", ln.name, err)
 		} else {
@@ -171,7 +128,6 @@ func (r *Registry) ObserveFeedback(name string, features []float64, actualCR flo
 // or "rollback". Caller holds ln.mu with a canary in flight.
 func (r *Registry) decideLocked(ln *lineage) string {
 	c := ln.st.Canary
-	cc := r.cfg.Canary
 	activeMed := median(c.ActiveAPE)
 	candMed := median(c.CandAPE)
 	activeCov := float64(c.ActiveHits) / float64(c.WindowObs)
@@ -189,7 +145,7 @@ func (r *Registry) decideLocked(ln *lineage) string {
 		return ""
 	}
 	c.WinStreak++
-	if c.WinStreak < cc.SustainEvals {
+	if c.WinStreak < canarySustainEvals {
 		return ""
 	}
 	cand := ln.candidate
@@ -213,14 +169,15 @@ func ape(est, actual float64) float64 {
 	return 100 * math.Abs(est-actual) / actual
 }
 
-// pushRing appends v to the ring, trimming to the window from the front.
-func pushRing(ring []float64, v float64, window int) []float64 {
+// pushRing appends v to the ring, trimming to canaryWindow from the
+// front.
+func pushRing(ring []float64, v float64) []float64 {
 	if math.IsNaN(v) {
 		return ring
 	}
 	ring = append(ring, v)
-	if len(ring) > window {
-		ring = ring[len(ring)-window:]
+	if len(ring) > canaryWindow {
+		ring = ring[len(ring)-canaryWindow:]
 	}
 	return ring
 }

@@ -22,23 +22,28 @@ func TestTornWriteChurnNeverLosesServingPath(t *testing.T) {
 	reg := openTest(t, root, func(c *Config) {
 		c.FS = torn
 		c.Keep = 2
-		c.Canary = fastCanary()
 	})
 	if _, err := reg.Publish("ln", goodEstimator(t)); err != nil {
 		t.Fatalf("first publish: %v", err)
 	}
 	// Churn: publishes may silently write torn snapshots or torn state;
 	// feedback drives canary decisions between them. None of it may
-	// panic or wedge the lineage.
+	// panic or wedge the lineage. Each publish gets enough feedback to
+	// reach a verdict at the canary's evidence constants.
 	feed := feedbackStream(99)
+	decisions := 0
 	for i := 0; i < 6; i++ {
 		if _, err := reg.Publish("ln", goodEstimator(t)); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
-		for j := 0; j < 30; j++ {
+		for j := 0; j < 48; j++ {
 			f, cr := feed()
-			if _, err := reg.ObserveFeedback("ln", f, cr); err != nil {
+			res, err := reg.ObserveFeedback("ln", f, cr)
+			if err != nil {
 				t.Fatalf("feedback: %v", err)
+			}
+			if res.Decision != "" {
+				decisions++
 			}
 		}
 		if _, err := reg.Route("ln"); err != nil {
@@ -48,11 +53,14 @@ func TestTornWriteChurnNeverLosesServingPath(t *testing.T) {
 	if cnt := torn.Counts(); cnt.ShortWrites == 0 {
 		t.Fatal("chaos plan injected no torn writes; the test exercised nothing")
 	}
+	if decisions == 0 {
+		t.Fatal("the churn reached no canary decision; the test exercised none")
+	}
 	reg.Close()
 
 	// Reopen on the real filesystem: startup must degrade past any torn
 	// snapshot/state to a valid serving version.
-	reg2 := openTest(t, root, func(c *Config) { c.Keep = 2; c.Canary = fastCanary() })
+	reg2 := openTest(t, root, func(c *Config) { c.Keep = 2 })
 	defer reg2.Close()
 	rt, err := reg2.Route("ln")
 	if err != nil {

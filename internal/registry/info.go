@@ -17,13 +17,12 @@ type CanaryInfo struct {
 // LineageInfo is the observable state of one lineage, the payload of the
 // /v1/models admin endpoint and `crest models list`.
 type LineageInfo struct {
-	Name       string      `json:"name"`
-	Active     int         `json:"active"`
-	LKG        int         `json:"lkg,omitempty"`
-	Bad        []int       `json:"bad,omitempty"`
-	Canary     *CanaryInfo `json:"canary,omitempty"`
-	Retraining bool        `json:"retraining,omitempty"`
-	Decisions  []Decision  `json:"decisions,omitempty"`
+	Name      string      `json:"name"`
+	Active    int         `json:"active"`
+	LKG       int         `json:"lkg,omitempty"`
+	Bad       []int       `json:"bad,omitempty"`
+	Canary    *CanaryInfo `json:"canary,omitempty"`
+	Decisions []Decision  `json:"decisions,omitempty"`
 }
 
 // Info returns the observable state of the named lineage.
@@ -50,12 +49,11 @@ func (r *Registry) InfoAll() []LineageInfo {
 
 func infoLocked(ln *lineage) LineageInfo {
 	info := LineageInfo{
-		Name:       ln.name,
-		Active:     ln.st.Active,
-		LKG:        ln.st.LKG,
-		Bad:        append([]int(nil), ln.st.Bad...),
-		Retraining: ln.retrain != nil && ln.retrain.inFlight,
-		Decisions:  append([]Decision(nil), ln.st.Decisions...),
+		Name:      ln.name,
+		Active:    ln.st.Active,
+		LKG:       ln.st.LKG,
+		Bad:       append([]int(nil), ln.st.Bad...),
+		Decisions: append([]Decision(nil), ln.st.Decisions...),
 	}
 	if c := ln.st.Canary; c != nil {
 		ci := &CanaryInfo{

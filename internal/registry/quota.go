@@ -46,16 +46,6 @@ type QuotaConfig struct {
 
 	// Tenants maps tenant name to its quota, overriding Default.
 	Tenants map[string]TenantQuota
-
-	// MaxTenants bounds the table of buckets of tenants on the Default
-	// quota (default 1024). Tenants named in Tenants get their buckets
-	// at construction, outside the bound, so a flood of fresh tenant
-	// names (the tenant header is unauthenticated) can neither grow
-	// memory nor touch a configured tenant's quota. When the table is
-	// full, a new name evicts every bucket that has refilled to its
-	// burst; if none has, the name shares one overflow bucket sized
-	// like Default. An unlimited Default stores no buckets.
-	MaxTenants int
 }
 
 // validate checks the Default quota and every tenant's, naming the
@@ -72,8 +62,15 @@ func (c QuotaConfig) validate() error {
 	return nil
 }
 
-// defaultMaxTenants bounds the per-tenant bucket table.
-const defaultMaxTenants = 1024
+// maxTenants bounds the table of buckets of tenants on the Default
+// quota. Tenants named in QuotaConfig.Tenants get their buckets at
+// construction, outside the bound, so a flood of fresh tenant names (the
+// tenant header is unauthenticated) can neither grow memory nor touch a
+// configured tenant's quota. When the table is full, a new name evicts
+// every bucket that has refilled to its burst; if none has, the name
+// shares one overflow bucket sized like Default. An unlimited Default
+// stores no buckets.
+const maxTenants = 1024
 
 // bucket is one token bucket.
 type bucket struct {
@@ -131,7 +128,7 @@ type Quotas struct {
 	// construction and never evicted; the map is never written after.
 	configured map[string]*bucket
 	// buckets holds the tenants on the Default quota, at most
-	// cfg.MaxTenants of them.
+	// maxTenants of them.
 	buckets  map[string]*bucket
 	overflow bucket
 	// noneFullBefore is set by a sweep of a full table that evicted
@@ -145,9 +142,6 @@ func newQuotas(cfg QuotaConfig, now func() time.Time) *Quotas {
 	configured := make(map[string]*bucket, len(cfg.Tenants))
 	for name, q := range cfg.Tenants {
 		configured[name] = &bucket{quota: q.withDefaults()}
-	}
-	if cfg.MaxTenants <= 0 {
-		cfg.MaxTenants = defaultMaxTenants
 	}
 	return &Quotas{
 		cfg:        cfg,
@@ -172,10 +166,10 @@ func (q *Quotas) Allow(tenant string) (time.Duration, bool) {
 	}
 	b := q.buckets[tenant]
 	if b == nil {
-		if len(q.buckets) >= q.cfg.MaxTenants && !now.Before(q.noneFullBefore) {
+		if len(q.buckets) >= maxTenants && !now.Before(q.noneFullBefore) {
 			q.evictFull(now)
 		}
-		if len(q.buckets) >= q.cfg.MaxTenants {
+		if len(q.buckets) >= maxTenants {
 			return q.overflow.take(now)
 		}
 		b = &bucket{quota: q.cfg.Default}
@@ -197,7 +191,7 @@ func (q *Quotas) evictFull(now time.Time) {
 			next = at
 		}
 	}
-	if len(q.buckets) < q.cfg.MaxTenants {
+	if len(q.buckets) < maxTenants {
 		next = time.Time{}
 	}
 	q.noneFullBefore = next

@@ -3,9 +3,8 @@
 // last-known-good pointer, atomic promote/rollback, a canary controller
 // that splits a configurable fraction of traffic to a candidate version
 // and compares MedAPE and conformal coverage against the active model
-// (auto-promote on sustained win, auto-rollback on regression), per-tenant
-// admission quotas, and drift-triggered background retraining driven by
-// fieldsim set-cover selection.
+// (auto-promote on sustained win, auto-rollback on regression), and
+// per-tenant admission quotas.
 //
 // Every lifecycle decision is logged, metered, and persisted atomically
 // (state.json next to the snapshots), so a crash mid-canary resumes the
@@ -15,7 +14,6 @@
 package registry
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -56,9 +54,12 @@ type Config struct {
 	// negative disables pruning.
 	Keep int
 
-	Canary CanaryConfig
-	Quota  QuotaConfig
-	Drift  DriftConfig
+	// CanaryFraction is the fraction of requests routed to a canary
+	// candidate (0 selects 0.1). Open refuses one that is NaN, negative or
+	// above 1.
+	CanaryFraction float64
+
+	Quota QuotaConfig
 
 	// Obs receives registry metrics (obs.Default() when nil).
 	Obs *obs.Registry
@@ -90,8 +91,9 @@ func (c Config) withDefaults() Config {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	c.Canary = c.Canary.withDefaults()
-	c.Drift = c.Drift.withDefaults()
+	if c.CanaryFraction == 0 {
+		c.CanaryFraction = 0.1
+	}
 	return c
 }
 
@@ -114,8 +116,6 @@ type lineage struct {
 	st        *lineageState
 	active    *model
 	candidate *model
-	drift     driftTracker
-	retrain   *retrainer
 	unsaved   int // feedback observations since the last state persist
 }
 
@@ -127,8 +127,6 @@ type metrics struct {
 	publishes      *obs.Counter
 	promotions     *obs.Counter
 	rollbacks      *obs.Counter
-	retrains       *obs.Counter
-	retrainFails   *obs.Counter
 	decisionSecs   *obs.Histogram
 	tenantRequests *obs.Counter
 	tenantRejects  *obs.Counter
@@ -142,8 +140,6 @@ func newMetrics(r *obs.Registry) metrics {
 		publishes:      r.Counter("registry_publishes_total"),
 		promotions:     r.Counter("registry_promotions_total"),
 		rollbacks:      r.Counter("registry_rollbacks_total"),
-		retrains:       r.Counter("registry_retrains_total"),
-		retrainFails:   r.Counter("registry_retrain_failures_total"),
 		decisionSecs:   r.Histogram("registry_decision_seconds"),
 		tenantRequests: r.Counter("tenant_requests_total"),
 		tenantRejects:  r.Counter("tenant_quota_rejections_total"),
@@ -159,9 +155,6 @@ type Registry struct {
 	lineages map[string]*lineage
 
 	quotas *Quotas
-	wg     sync.WaitGroup // background retrains
-	ctx    context.Context
-	cancel context.CancelFunc
 }
 
 // Open loads every lineage under cfg.Root (each immediate subdirectory
@@ -173,6 +166,9 @@ func Open(cfg Config) (*Registry, error) {
 	if cfg.Root == "" {
 		return nil, errors.New("registry: no root directory")
 	}
+	if f := cfg.CanaryFraction; !(f > 0 && f <= 1) {
+		return nil, fmt.Errorf("registry: canary fraction %g is outside (0, 1]", f)
+	}
 	if err := cfg.Quota.validate(); err != nil {
 		return nil, err
 	}
@@ -182,7 +178,6 @@ func Open(cfg Config) (*Registry, error) {
 		lineages: make(map[string]*lineage),
 		quotas:   newQuotas(cfg.Quota, cfg.Now),
 	}
-	r.ctx, r.cancel = context.WithCancel(context.Background())
 	entries, err := cfg.FS.ReadDir(cfg.Root)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("registry: scan %s: %w", cfg.Root, err)
@@ -204,11 +199,8 @@ func Open(cfg Config) (*Registry, error) {
 	return r, nil
 }
 
-// Close cancels background retrains, waits for them, and persists every
-// lineage's control state.
+// Close persists every lineage's control state.
 func (r *Registry) Close() error {
-	r.cancel()
-	r.wg.Wait()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var firstErr error
@@ -230,7 +222,7 @@ func (r *Registry) Close() error {
 // holds nothing loadable.
 func (r *Registry) loadLineage(name string) (*lineage, error) {
 	dir := filepath.Join(r.cfg.Root, name)
-	ln := &lineage{name: name, dir: dir, drift: newDriftTracker(r.cfg.Drift)}
+	ln := &lineage{name: name, dir: dir}
 
 	st, err := loadState(r.cfg.FS, dir)
 	if err != nil {
@@ -524,12 +516,7 @@ func (r *Registry) Publish(name string, est *core.Estimator) (int, error) {
 	r.mu.Lock()
 	ln := r.lineages[name]
 	if ln == nil {
-		ln = &lineage{
-			name:  name,
-			dir:   filepath.Join(r.cfg.Root, name),
-			st:    &lineageState{},
-			drift: newDriftTracker(r.cfg.Drift),
-		}
+		ln = &lineage{name: name, dir: filepath.Join(r.cfg.Root, name), st: &lineageState{}}
 		r.lineages[name] = ln
 		r.obs.lineages.Set(int64(len(r.lineages)))
 	}
@@ -553,7 +540,7 @@ func (r *Registry) Publish(name string, est *core.Estimator) (int, error) {
 		if c := st.Canary; c != nil {
 			reason = fmt.Sprintf("superseded candidate v%d", c.Candidate)
 		}
-		st.Canary = &canaryState{Candidate: seq, Fraction: r.cfg.Canary.Fraction}
+		st.Canary = &canaryState{Candidate: seq, Fraction: r.cfg.CanaryFraction}
 		st.logDecision(Decision{Time: now, Action: "publish", To: seq, Reason: reason})
 	}
 	if err := saveState(r.cfg.FS, ln.dir, &st); err != nil {
@@ -615,7 +602,6 @@ func (r *Registry) promoteLocked(ln *lineage, m *model, auto bool, reason string
 	ln.st = &st
 	ln.active = m
 	ln.candidate = nil
-	ln.drift.reset()
 	r.obs.promotions.Inc()
 	r.cfg.Logf("registry: %s: promoted v%d (lkg v%d, %s)", ln.name, m.seq, st.LKG, reason)
 	r.pruneLocked(ln)
@@ -658,7 +644,6 @@ func (r *Registry) Rollback(name string) error {
 	ln.st = &st
 	ln.active = lkg
 	ln.candidate = nil
-	ln.drift.reset()
 	r.obs.rollbacks.Inc()
 	r.cfg.Logf("registry: %s: rolled back v%d -> v%d", ln.name, from, lkg.seq)
 	r.pruneLocked(ln)

@@ -1,8 +1,8 @@
 package registry
 
 import (
-	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -14,7 +14,6 @@ import (
 
 	"github.com/crestlab/crest/internal/core"
 	"github.com/crestlab/crest/internal/crerr"
-	"github.com/crestlab/crest/internal/grid"
 	"github.com/crestlab/crest/internal/obs"
 	"github.com/crestlab/crest/internal/vfs"
 	"github.com/crestlab/crest/snapshot"
@@ -81,26 +80,13 @@ func feedbackStream(seed int64) func() ([]float64, float64) {
 	}
 }
 
-// fastCanary is a canary config small enough for tests to drive decisions
-// in tens of observations.
-func fastCanary() CanaryConfig {
-	return CanaryConfig{
-		Fraction:     0.25,
-		Window:       32,
-		MinObs:       8,
-		EvalEvery:    4,
-		SustainEvals: 2,
-		PersistEvery: 4,
-	}
-}
-
 func openTest(t *testing.T, root string, mut func(*Config)) *Registry {
 	t.Helper()
 	cfg := Config{
-		Root:   root,
-		Canary: fastCanary(),
-		Obs:    obs.NewRegistry(),
-		Logf:   t.Logf,
+		Root:           root,
+		CanaryFraction: 0.25,
+		Obs:            obs.NewRegistry(),
+		Logf:           t.Logf,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -278,12 +264,16 @@ func TestRestartMidCanary(t *testing.T) {
 		r.Route("default")
 	}
 	next := feedbackStream(23)
-	// Stay under MinObs=8 so no decision fires, but cross PersistEvery=4
-	// so the window is durable.
-	for i := 0; i < 6; i++ {
+	// Stay under canaryMinObs so no decision fires, but cross
+	// canaryPersistEvery so the window is durable.
+	for i := 0; i < canaryMinObs-1; i++ {
 		f, actual := next()
-		if _, err := r.ObserveFeedback("default", f, actual); err != nil {
+		res, err := r.ObserveFeedback("default", f, actual)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Decision != "" {
+			t.Fatalf("decision %q before canaryMinObs, at obs %d", res.Decision, i)
 		}
 	}
 	before, _ := r.Info("default")
@@ -302,8 +292,9 @@ func TestRestartMidCanary(t *testing.T) {
 	if after.Canary.Candidate != cand {
 		t.Fatalf("resumed candidate v%d, want v%d", after.Canary.Candidate, cand)
 	}
-	if after.Canary.Observed < 4 {
-		t.Fatalf("comparison window lost: observed %d, want >= 4 (persisted)", after.Canary.Observed)
+	if after.Canary.Observed < canaryPersistEvery {
+		t.Fatalf("comparison window lost: observed %d, want >= %d (persisted)",
+			after.Canary.Observed, canaryPersistEvery)
 	}
 	if after.Canary.Requests == 0 {
 		t.Fatal("traffic-split counter lost across restart")
@@ -572,24 +563,32 @@ func TestQuotaTokenBucket(t *testing.T) {
 	}
 }
 
+// strangers returns n distinct tenant names that no quota configures.
+func strangers(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%d", i)
+	}
+	return names
+}
+
 func TestQuotaTenantTableBounded(t *testing.T) {
 	now := time.Unix(1000, 0)
 	q := newQuotas(QuotaConfig{
-		Default:    TenantQuota{Rate: 1, Burst: 1},
-		MaxTenants: 4,
+		Default: TenantQuota{Rate: 1, Burst: 1},
 	}, func() time.Time { return now })
-	for i := 0; i < 100; i++ {
-		q.Allow(string(rune('a' + i%26)))
+	for _, name := range strangers(2 * maxTenants) {
+		q.Allow(name)
 	}
-	if len(q.buckets) > 4 {
-		t.Fatalf("bucket table grew to %d entries with MaxTenants=4", len(q.buckets))
+	if len(q.buckets) > maxTenants {
+		t.Fatalf("bucket table grew to %d entries with maxTenants=%d", len(q.buckets), maxTenants)
 	}
 }
 
 // TestQuotaConfiguredTenantOutsideTableBound: a tenant named in the
 // config keeps its own quota however many other names came first. When
 // configured tenants took table slots on first sight like any other
-// name, MaxTenants stranger names pushed them into the overflow bucket
+// name, maxTenants stranger names pushed them into the overflow bucket
 // for good, with the Default quota: a 0.001 req/s tenant under an
 // unlimited Default was admitted every time, and a 1e9 req/s tenant
 // under a 1 req/s Default once in ten tries, an hour later.
@@ -604,11 +603,10 @@ func TestQuotaConfiguredTenantOutsideTableBound(t *testing.T) {
 	} {
 		now := time.Unix(1000, 0)
 		q := newQuotas(QuotaConfig{
-			Default:    tc.def,
-			Tenants:    map[string]TenantQuota{"vip": tc.quota},
-			MaxTenants: 4,
+			Default: tc.def,
+			Tenants: map[string]TenantQuota{"vip": tc.quota},
 		}, func() time.Time { return now })
-		for _, name := range []string{"s1", "s2", "s3", "s4"} {
+		for _, name := range strangers(maxTenants) {
 			q.Allow(name)
 		}
 		now = now.Add(time.Hour)
@@ -619,7 +617,7 @@ func TestQuotaConfiguredTenantOutsideTableBound(t *testing.T) {
 			}
 		}
 		if admitted != tc.wantAdmitted {
-			t.Errorf("%s: admitted %d of 10 after four stranger names, want %d", tc.name, admitted, tc.wantAdmitted)
+			t.Errorf("%s: admitted %d of 10 after %d stranger names, want %d", tc.name, admitted, maxTenants, tc.wantAdmitted)
 		}
 	}
 }
@@ -627,14 +625,13 @@ func TestQuotaConfiguredTenantOutsideTableBound(t *testing.T) {
 // TestQuotaTableEvictsRefilledBuckets: once the buckets in a full table
 // have refilled to their burst, a new name gets a bucket of its own
 // instead of the overflow bucket every later name would share, and the
-// table stays within MaxTenants.
+// table stays within maxTenants.
 func TestQuotaTableEvictsRefilledBuckets(t *testing.T) {
 	now := time.Unix(1000, 0)
 	q := newQuotas(QuotaConfig{
-		Default:    TenantQuota{Rate: 1, Burst: 2},
-		MaxTenants: 4,
+		Default: TenantQuota{Rate: 1, Burst: 2},
 	}, func() time.Time { return now })
-	for _, name := range []string{"s1", "s2", "s3", "s4"} {
+	for _, name := range strangers(maxTenants) {
 		if _, ok := q.Allow(name); !ok {
 			t.Fatalf("%s: first request denied", name)
 		}
@@ -657,8 +654,8 @@ func TestQuotaTableEvictsRefilledBuckets(t *testing.T) {
 			}
 		}
 	}
-	if len(q.buckets) > 4 {
-		t.Fatalf("bucket table grew to %d entries with MaxTenants=4", len(q.buckets))
+	if len(q.buckets) > maxTenants {
+		t.Fatalf("bucket table grew to %d entries with maxTenants=%d", len(q.buckets), maxTenants)
 	}
 }
 
@@ -697,6 +694,39 @@ func TestOpenRefusesQuotaThatAdmitsNothing(t *testing.T) {
 	})
 	if _, ok := r.AllowTenant("alice"); !ok {
 		t.Fatal("alice's first request denied under a burst of one")
+	}
+}
+
+// TestOpenRefusesCanaryFractionOutsideRange: a NaN fraction used to be
+// kept, and every later Publish failed to encode the canary state; a
+// negative one or one above 1 ran at 0.1 without a word. Open refuses all
+// three and names the value; 0 still selects 0.1.
+func TestOpenRefusesCanaryFractionOutsideRange(t *testing.T) {
+	for _, f := range []float64{math.NaN(), -0.5, 1.5} {
+		r, err := Open(Config{Root: t.TempDir(), CanaryFraction: f, Obs: obs.NewRegistry()})
+		if err == nil {
+			r.Close()
+			t.Errorf("fraction %g: Open accepted it", f)
+			continue
+		}
+		if want := fmt.Sprintf("canary fraction %g", f); !strings.Contains(err.Error(), want) {
+			t.Errorf("fraction %g: error %q does not say %q", f, err, want)
+		}
+	}
+	for _, tc := range []struct{ set, want float64 }{{0, 0.1}, {0.25, 0.25}} {
+		r := openTest(t, t.TempDir(), func(c *Config) { c.CanaryFraction = tc.set })
+		for i := 0; i < 2; i++ {
+			if _, err := r.Publish("default", goodEstimator(t)); err != nil {
+				t.Fatalf("fraction %g: publish %d: %v", tc.set, i, err)
+			}
+		}
+		info, err := r.Info("default")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Canary == nil || info.Canary.Fraction != tc.want {
+			t.Errorf("fraction %g: canary %+v, want fraction %g", tc.set, info.Canary, tc.want)
+		}
 	}
 }
 
@@ -745,61 +775,6 @@ func TestCanaryRouteZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(1000, func() { r.AllowTenant(tc.tenant) }); allocs != 0 {
 			t.Fatalf("AllowTenant(%q): %.1f allocs/op, want 0", tc.tenant, allocs)
 		}
-	}
-}
-
-// TestDriftTriggersRetrain: sustained bad feedback crosses the drift
-// threshold, kicks off a background retrain over the field library, and
-// the retrained model arrives as a canary candidate.
-func TestDriftTriggersRetrain(t *testing.T) {
-	r := openTest(t, t.TempDir(), func(c *Config) {
-		c.Drift = DriftConfig{Window: 16, MinObs: 8, MedAPEThreshold: 30}
-	})
-	r.Publish("default", badEstimator(t)) // serving model that drifted
-	field := &grid.Field{Name: "f0", Buffers: []*grid.Buffer{grid.NewBuffer(8, 8)}}
-	retrained := make(chan struct{})
-	err := r.SetRetraining("default", Retraining{
-		Library: []*grid.Field{field},
-		Retrain: func(ctx context.Context, fields []*grid.Field) (*core.Estimator, error) {
-			if len(fields) != 1 || fields[0] != field {
-				t.Errorf("retrain fields = %v", fields)
-			}
-			close(retrained)
-			return goodEstimator(t), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := feedbackStream(31)
-	started := false
-	for i := 0; i < 100 && !started; i++ {
-		f, actual := next()
-		res, err := r.ObserveFeedback("default", f, actual)
-		if err != nil {
-			t.Fatal(err)
-		}
-		started = res.RetrainStarted
-	}
-	if !started {
-		t.Fatal("drift never triggered a retrain")
-	}
-	select {
-	case <-retrained:
-	case <-time.After(10 * time.Second):
-		t.Fatal("retrain func never ran")
-	}
-	// The retrained model lands as a canary candidate.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		info, _ := r.Info("default")
-		if info.Canary != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("retrained model never published as candidate")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

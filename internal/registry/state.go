@@ -58,7 +58,7 @@ type canaryState struct {
 	Observed int `json:"observed"`
 
 	// ActiveAPE and CandAPE are the rolling APE windows (percent),
-	// newest-last, capped at the configured window.
+	// newest-last, capped at canaryWindow.
 	ActiveAPE []float64 `json:"active_ape,omitempty"`
 	CandAPE   []float64 `json:"cand_ape,omitempty"`
 
@@ -67,15 +67,15 @@ type canaryState struct {
 	CandHits   int `json:"cand_hits"`
 	WindowObs  int `json:"window_obs"`
 
-	// WinStreak counts consecutive evaluations the candidate won; the
-	// configured sustain threshold promotes.
+	// WinStreak counts consecutive evaluations the candidate won;
+	// canarySustainEvals of them promote.
 	WinStreak int `json:"win_streak"`
 }
 
 // Decision is one audit-log entry of a lifecycle transition.
 type Decision struct {
 	Time   time.Time `json:"time"`
-	Action string    `json:"action"` // adopt|publish|promote|rollback|retrain
+	Action string    `json:"action"` // adopt|publish|promote|rollback
 	From   int       `json:"from,omitempty"`
 	To     int       `json:"to,omitempty"`
 	Auto   bool      `json:"auto,omitempty"`
@@ -90,15 +90,6 @@ func (st *lineageState) logDecision(d Decision) {
 	if len(st.Decisions) > maxDecisions {
 		st.Decisions = st.Decisions[len(st.Decisions)-maxDecisions:]
 	}
-}
-
-func (st *lineageState) isBad(seq int) bool {
-	for _, b := range st.Bad {
-		if b == seq {
-			return true
-		}
-	}
-	return false
 }
 
 // saveState writes the control file crash-safely.

@@ -52,16 +52,9 @@ func regressedEstimator(t testing.TB) *core.Estimator {
 func newRegistryServer(t testing.TB, mutReg func(*registry.Config), mutSrv func(*Config)) (*registry.Registry, *testServer) {
 	t.Helper()
 	rcfg := registry.Config{
-		Root: t.TempDir(),
-		Obs:  obs.NewRegistry(),
-		Canary: registry.CanaryConfig{
-			Fraction:     0.25,
-			Window:       32,
-			MinObs:       8,
-			EvalEvery:    4,
-			SustainEvals: 2,
-			PersistEvery: 4,
-		},
+		Root:           t.TempDir(),
+		Obs:            obs.NewRegistry(),
+		CanaryFraction: 0.25,
 	}
 	if mutReg != nil {
 		mutReg(&rcfg)

@@ -91,15 +91,6 @@ func EuclideanDist(x, y []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Quantize applies the paper's linear quantization scheme
-// α(x, ε) = ⌊x/ε⌋·ε used by the generic distortion metric (§IV-A).
-func Quantize(x, eps float64) float64 {
-	if eps <= 0 {
-		return x
-	}
-	return math.Floor(x/eps) * eps
-}
-
 // QuantizeBin returns the integer bin index ⌊x/ε⌋, saturated to the int64
 // range. For tiny ε (or huge x) the quotient overflows int64, and the bare
 // conversion int64(float64) is undefined for out-of-range values — on
