@@ -48,17 +48,10 @@ var requiredHistograms = []struct {
 
 var requiredGauges = []string{"server_queue_depth", "server_inflight"}
 
-// registryHistograms/Gauges/Counters are additionally required when
-// -registry is set: the series a registry-mode server must expose after
-// serving at least one routed estimate. Lifecycle counters (publishes,
-// promotions, rollbacks) must exist but need not have fired.
-var registryHistograms = []struct {
-	name    string
-	nonzero bool
-}{
-	{"registry_decision_seconds", false},
-}
-
+// registryGauges/Counters are additionally required when -registry is
+// set: the series a registry-mode server must expose after serving at
+// least one routed estimate. Lifecycle counters (promotions, rollbacks)
+// must exist but need not have fired.
 var registryGauges = []string{"registry_lineages"}
 
 var registryCounters = []struct {
@@ -66,8 +59,6 @@ var registryCounters = []struct {
 	nonzero bool
 }{
 	{"registry_requests_total", true},
-	{"registry_canary_requests_total", false},
-	{"registry_publishes_total", false},
 	{"registry_promotions_total", false},
 	{"registry_rollbacks_total", false},
 	{"tenant_requests_total", true},
@@ -141,7 +132,7 @@ func cmdMetricsCheck(ctx context.Context, args []string) error {
 		return fmt.Errorf("/metrics is not valid JSON: %w", err)
 	}
 
-	histChecks, gaugeChecks, counterChecks := requiredHistograms, requiredGauges, requiredCounters
+	gaugeChecks, counterChecks := requiredGauges, requiredCounters
 	if *capacityMode {
 		gaugeChecks = append(append([]string{}, gaugeChecks...), capacityGauges...)
 		counterChecks = append(append([]struct {
@@ -150,10 +141,6 @@ func cmdMetricsCheck(ctx context.Context, args []string) error {
 		}{}, counterChecks...), capacityCounters...)
 	}
 	if *registryMode {
-		histChecks = append(append([]struct {
-			name    string
-			nonzero bool
-		}{}, histChecks...), registryHistograms...)
 		gaugeChecks = append(append([]string{}, gaugeChecks...), registryGauges...)
 		counterChecks = append(append([]struct {
 			name    string
@@ -162,7 +149,7 @@ func cmdMetricsCheck(ctx context.Context, args []string) error {
 	}
 
 	var problems []string
-	for _, h := range histChecks {
+	for _, h := range requiredHistograms {
 		s, ok := doc.Histograms[h.name]
 		switch {
 		case !ok:

@@ -140,12 +140,8 @@ func modelsCall(ctx context.Context, method, url string, body []byte, out any) e
 // printLineages renders the lineage table plus each lineage's most recent
 // lifecycle decisions.
 func printLineages(lineages []registry.LineageInfo) {
-	fmt.Printf("%-16s %8s %8s %10s %s\n", "lineage", "active", "lkg", "canary", "bad")
+	fmt.Printf("%-16s %8s %8s %s\n", "lineage", "active", "lkg", "bad")
 	for _, ln := range lineages {
-		canary := "-"
-		if c := ln.Canary; c != nil {
-			canary = fmt.Sprintf("v%d@%.0f%%", c.Candidate, 100*c.Fraction)
-		}
 		lkg := "-"
 		if ln.LKG > 0 {
 			lkg = fmt.Sprintf("v%d", ln.LKG)
@@ -154,7 +150,7 @@ func printLineages(lineages []registry.LineageInfo) {
 		if len(ln.Bad) > 0 {
 			bad = fmt.Sprint(ln.Bad)
 		}
-		fmt.Printf("%-16s %8s %8s %10s %s\n", ln.Name, fmt.Sprintf("v%d", ln.Active), lkg, canary, bad)
+		fmt.Printf("%-16s %8s %8s %s\n", ln.Name, fmt.Sprintf("v%d", ln.Active), lkg, bad)
 		for _, d := range tailDecisions(ln.Decisions, 3) {
 			auto := "manual"
 			if d.Auto {

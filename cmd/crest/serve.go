@@ -50,7 +50,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive forward failures that open a peer's circuit breaker")
 	breakerOpenFor := fs.Duration("breaker-open-for", 2*time.Second, "how long an open breaker rejects a peer before half-open probing")
 	registryDir := fs.String("registry", "", "serve from a model registry root (each subdirectory is one lineage); mutually exclusive with -model/-model-dir/-peers/-recalibrate/-recal-window/-recal-band")
-	canaryFraction := fs.Float64("canary-fraction", 0.1, "traffic fraction routed to a canary candidate (registry mode)")
 	keep := fs.Int("keep", 0, "per-lineage snapshot retention budget (registry mode; 0: default, negative: keep all)")
 	quota := fs.String("quota", "", `per-tenant admission quotas "name=rate[:burst],..." in req/s (registry mode; entry "*=..." bounds unlisted tenants)`)
 	if err := fs.Parse(args); err != nil {
@@ -88,11 +87,10 @@ func cmdServe(ctx context.Context, args []string) error {
 			return qerr
 		}
 		reg, err = registry.Open(registry.Config{
-			Root:           *registryDir,
-			Workers:        *workers,
-			Keep:           *keep,
-			CanaryFraction: *canaryFraction,
-			Quota:          qcfg,
+			Root:    *registryDir,
+			Workers: *workers,
+			Keep:    *keep,
+			Quota:   qcfg,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "crest serve: registry: "+format+"\n", args...)
 			},
@@ -101,8 +99,7 @@ func cmdServe(ctx context.Context, args []string) error {
 			return fmt.Errorf("open registry: %w", err)
 		}
 		defer reg.Close()
-		fmt.Fprintf(os.Stderr, "crest serve: registry %s hosting lineages %v (canary fraction %g)\n",
-			*registryDir, reg.Lineages(), *canaryFraction)
+		fmt.Fprintf(os.Stderr, "crest serve: registry %s hosting lineages %v\n", *registryDir, reg.Lineages())
 	} else {
 		var from string
 		if *model != "" {
@@ -241,7 +238,6 @@ func cmdServe(ctx context.Context, args []string) error {
 var modeFlags = map[string]string{
 	"quota":             "registry",
 	"keep":              "registry",
-	"canary-fraction":   "registry",
 	"self":              "peers",
 	"replicas":          "peers",
 	"forward-depth":     "peers",

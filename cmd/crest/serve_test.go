@@ -17,19 +17,34 @@ import (
 	crest "github.com/crestlab/crest"
 )
 
-// trainTinySnapshot runs cmdTrain into dir and returns the written path.
+// trainTinySnapshot runs cmdTrain into dir and returns the path of the
+// snapshot it wrote: the one entry of dir that was not there before, which
+// in a served lineage directory is neither state.json nor an older
+// version.
 func trainTinySnapshot(t *testing.T, dir string) string {
 	t.Helper()
+	before := map[string]bool{}
+	if entries, err := os.ReadDir(dir); err == nil {
+		for _, e := range entries {
+			before[e.Name()] = true
+		}
+	}
 	args := append([]string{"-dataset", "miranda", "-field", "density",
 		"-eps", "1e-3", "-dir", dir}, "-nz", "8", "-ny", "24", "-nx", "24")
 	if err := cmdTrain(context.Background(), args); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("train wrote nothing: %v", err)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return filepath.Join(dir, entries[len(entries)-1].Name())
+	for _, e := range entries {
+		if !before[e.Name()] {
+			return filepath.Join(dir, e.Name())
+		}
+	}
+	t.Fatalf("train wrote nothing into %s", dir)
+	return ""
 }
 
 // startServe launches cmdServe against dir and waits for the bound
@@ -357,8 +372,10 @@ func TestServeClusterFlags(t *testing.T) {
 // TestServeRegistryRoundTrip is the registry-mode CLI round trip: train
 // seeds a lineage directory, serve -registry adopts it (re-sequenced as
 // v1), estimates route with version headers, `crest models list` renders
-// the lineage, and a configured tenant quota answers 429 with Retry-After
-// once its burst is spent.
+// the lineage, a second train writes v2 which goes live only through
+// `crest models promote` and leaves through `crest models rollback`, and
+// a configured tenant quota answers 429 with Retry-After once its burst is
+// spent.
 func TestServeRegistryRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	trainTinySnapshot(t, filepath.Join(root, "default"))
@@ -397,8 +414,6 @@ func TestServeRegistryRoundTrip(t *testing.T) {
 		t.Fatalf("models list CLI: %v", err)
 	}
 
-	// The tiny tenant's burst of 1 is spent by the first request; the
-	// second must be a 429 with a Retry-After hint.
 	data := make([]float64, 64)
 	for i := range data {
 		data[i] = float64(i % 8)
@@ -407,6 +422,42 @@ func TestServeRegistryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	servedVersion := func() string {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/estimate", "application/json", bytes.NewReader(estBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("estimate: status %d", resp.StatusCode)
+		}
+		return resp.Header.Get("X-Crest-Model-Version")
+	}
+
+	// A second train while serving writes v2; it goes live only by
+	// promote, and rollback brings v1 back.
+	if v2 := trainTinySnapshot(t, filepath.Join(root, "default")); filepath.Base(v2) != "model-000002.crsnap" {
+		t.Fatalf("second train wrote %s, want model-000002.crsnap", v2)
+	}
+	if v := servedVersion(); v != "1" {
+		t.Fatalf("after the second train: served by v%s, want v1 until promoted", v)
+	}
+	if err := cmdModels(context.Background(), []string{"promote", "-url", base, "-seq", "2"}); err != nil {
+		t.Fatalf("models promote CLI: %v", err)
+	}
+	if v := servedVersion(); v != "2" {
+		t.Fatalf("after promote -seq 2: served by v%s, want v2", v)
+	}
+	if err := cmdModels(context.Background(), []string{"rollback", "-url", base}); err != nil {
+		t.Fatalf("models rollback CLI: %v", err)
+	}
+	if v := servedVersion(); v != "1" {
+		t.Fatalf("after rollback: served by v%s, want v1", v)
+	}
+
+	// The tiny tenant's burst of 1 is spent by the first request; the
+	// second must be a 429 with a Retry-After hint.
 	for i, want := range []int{http.StatusOK, http.StatusTooManyRequests} {
 		req, _ := http.NewRequest(http.MethodPost, base+"/v1/estimate", bytes.NewReader(estBody))
 		req.Header.Set("Content-Type", "application/json")
@@ -457,11 +508,8 @@ func TestServeRegistryFlagValidation(t *testing.T) {
 		{[]string{"-registry", root, "-recal-window", "64"}, "-recal-window needs -recalibrate"},
 		{[]string{"-registry", root, "-recal-band", "0.03"}, "-recal-band needs -recalibrate"},
 		{[]string{"-registry", root, "-quota", "alice=10:0.5"}, `tenant "alice"`},
-		{[]string{"-registry", root, "-canary-fraction", "NaN"}, "canary fraction NaN"},
-		{[]string{"-registry", root, "-canary-fraction", "1.5"}, "canary fraction 1.5"},
 		{[]string{"-model-dir", dir, "-quota", "alice=1"}, "-quota needs -registry"},
 		{[]string{"-model-dir", dir, "-keep", "3"}, "-keep needs -registry"},
-		{[]string{"-model-dir", dir, "-canary-fraction", "0.5"}, "-canary-fraction needs -registry"},
 		{[]string{"-model-dir", dir, "-self", "http://x"}, "-self needs -peers"},
 		{[]string{"-model-dir", dir, "-replicas", "3"}, "-replicas needs -peers"},
 		{[]string{"-model-dir", dir, "-forward-depth", "2"}, "-forward-depth needs -peers"},
@@ -471,7 +519,7 @@ func TestServeRegistryFlagValidation(t *testing.T) {
 		{[]string{"-model-dir", dir, "-recal-window", "64"}, "-recal-window needs -recalibrate"},
 		{[]string{"-model-dir", dir, "-recal-band", "0.05"}, "-recal-band needs -recalibrate"},
 		{nil, "exactly one"},
-		{[]string{"-registry", root, "-quota", "alice=1", "-keep", "3", "-canary-fraction", "0.5"}, ""},
+		{[]string{"-registry", root, "-quota", "alice=1", "-keep", "3"}, ""},
 		{[]string{"-model-dir", dir, "-recalibrate", "-recal-window", "64", "-recal-band", "0.05"}, ""},
 	} {
 		err := cmdServe(ctx, append([]string{"-addr", "127.0.0.1:0"}, tc.args...))

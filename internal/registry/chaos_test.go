@@ -11,50 +11,50 @@ import (
 
 // TestTornWriteChurnNeverLosesServingPath is the registry half of the
 // retention acceptance scenario: with every third write torn (half the
-// bytes persisted, success reported), a churn of publishes and feedback
-// must never leave a lineage unservable, and pruning must never remove
-// the snapshot a reopened registry ends up serving — the digest check
-// classifies torn files as corrupt garbage, everything else is kept.
+// bytes persisted, success reported), a churn of version writes, promotes
+// and rollbacks must never leave a lineage unservable, and pruning must
+// never remove the snapshot a reopened registry ends up serving — the
+// digest check classifies torn files as corrupt garbage, everything else
+// is kept.
 func TestTornWriteChurnNeverLosesServingPath(t *testing.T) {
 	root := t.TempDir()
 	torn := chaos.WrapFS(vfs.OS, chaos.FSPlan{Seed: 5, ShortWriteEvery: 3})
 
+	writeVersion(t, torn, root, "ln", goodEstimator(t))
 	reg := openTest(t, root, func(c *Config) {
 		c.FS = torn
 		c.Keep = 2
 	})
-	if _, err := reg.Publish("ln", goodEstimator(t)); err != nil {
-		t.Fatalf("first publish: %v", err)
-	}
-	// Churn: publishes may silently write torn snapshots or torn state;
-	// feedback drives canary decisions between them. None of it may
-	// panic or wedge the lineage. Each publish gets enough feedback to
-	// reach a verdict at the canary's evidence constants.
-	feed := feedbackStream(99)
-	decisions := 0
-	for i := 0; i < 6; i++ {
-		if _, err := reg.Publish("ln", goodEstimator(t)); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
+	// Churn: a version may land torn, and so may the state a promote or
+	// rollback writes. A promote of a torn version fails and changes
+	// nothing; a rollback may find no loadable last-known-good. None of
+	// it may panic or wedge the lineage.
+	promoted := 0
+	for i := 0; i < 8; i++ {
+		seq := writeVersion(t, torn, root, "ln", goodEstimator(t))
+		if err := reg.Promote("ln", seq); err != nil {
+			t.Logf("promote v%d: %v", seq, err)
+		} else {
+			promoted++
 		}
-		for j := 0; j < 48; j++ {
-			f, cr := feed()
-			res, err := reg.ObserveFeedback("ln", f, cr)
-			if err != nil {
-				t.Fatalf("feedback: %v", err)
-			}
-			if res.Decision != "" {
-				decisions++
+		if i%3 == 2 {
+			if err := reg.Rollback("ln"); err != nil {
+				t.Logf("rollback: %v", err)
 			}
 		}
-		if _, err := reg.Route("ln"); err != nil {
+		rt, err := reg.Route("ln")
+		if err != nil {
 			t.Fatalf("route during churn: %v", err)
+		}
+		if _, err := rt.Engine.Estimator().Estimate([]float64{0.1, 0.2, 0.3, 0.4, 0.5}); err != nil {
+			t.Fatalf("serving v%d broken during churn: %v", rt.Seq, err)
 		}
 	}
 	if cnt := torn.Counts(); cnt.ShortWrites == 0 {
 		t.Fatal("chaos plan injected no torn writes; the test exercised nothing")
 	}
-	if decisions == 0 {
-		t.Fatal("the churn reached no canary decision; the test exercised none")
+	if promoted == 0 {
+		t.Fatal("no promote succeeded; the churn never changed the serving version")
 	}
 	reg.Close()
 

@@ -1,24 +1,19 @@
 // Package registry hosts named model lineages over the snapshot package
 // and runs their lifecycle: versioned per-lineage directories with a
-// last-known-good pointer, atomic promote/rollback, a canary controller
-// that splits a configurable fraction of traffic to a candidate version
-// and compares MedAPE and conformal coverage against the active model
-// (auto-promote on sustained win, auto-rollback on regression), and
-// per-tenant admission quotas.
+// last-known-good pointer, atomic promote/rollback, and per-tenant
+// admission quotas. A version is written by `crest train -dir` and goes
+// live only when promoted.
 //
 // Every lifecycle decision is logged, metered, and persisted atomically
-// (state.json next to the snapshots), so a crash mid-canary resumes the
-// traffic split and the comparison evidence instead of restarting the
-// experiment — and a corrupt control file degrades to adopting the newest
-// valid snapshot, never to refusing to serve.
+// (state.json next to the snapshots) before it takes effect, and a
+// corrupt control file degrades to adopting the newest valid snapshot,
+// never to refusing to serve.
 package registry
 
 import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -49,15 +44,10 @@ type Config struct {
 	Workers int
 
 	// Keep is the per-lineage snapshot retention budget passed to
-	// snapshot.PruneFS after registry writes; active, last-known-good and
-	// candidate versions are always protected. 0 selects DefaultKeep;
-	// negative disables pruning.
+	// snapshot.PruneFS after registry writes; the active and
+	// last-known-good versions are always protected. 0 selects
+	// DefaultKeep; negative disables pruning.
 	Keep int
-
-	// CanaryFraction is the fraction of requests routed to a canary
-	// candidate (0 selects 0.1). Open refuses one that is NaN, negative or
-	// above 1.
-	CanaryFraction float64
 
 	Quota QuotaConfig
 
@@ -91,9 +81,6 @@ func (c Config) withDefaults() Config {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.CanaryFraction == 0 {
-		c.CanaryFraction = 0.1
-	}
 	return c
 }
 
@@ -112,22 +99,17 @@ type lineage struct {
 	name string
 	dir  string
 
-	mu        sync.Mutex
-	st        *lineageState
-	active    *model
-	candidate *model
-	unsaved   int // feedback observations since the last state persist
+	mu     sync.Mutex
+	st     *lineageState
+	active *model
 }
 
 // metrics is the registry's metric handle set.
 type metrics struct {
 	lineages       *obs.Gauge
 	requests       *obs.Counter
-	canaryRequests *obs.Counter
-	publishes      *obs.Counter
 	promotions     *obs.Counter
 	rollbacks      *obs.Counter
-	decisionSecs   *obs.Histogram
 	tenantRequests *obs.Counter
 	tenantRejects  *obs.Counter
 }
@@ -136,11 +118,8 @@ func newMetrics(r *obs.Registry) metrics {
 	return metrics{
 		lineages:       r.Gauge("registry_lineages"),
 		requests:       r.Counter("registry_requests_total"),
-		canaryRequests: r.Counter("registry_canary_requests_total"),
-		publishes:      r.Counter("registry_publishes_total"),
 		promotions:     r.Counter("registry_promotions_total"),
 		rollbacks:      r.Counter("registry_rollbacks_total"),
-		decisionSecs:   r.Histogram("registry_decision_seconds"),
 		tenantRequests: r.Counter("tenant_requests_total"),
 		tenantRejects:  r.Counter("tenant_quota_rejections_total"),
 	}
@@ -157,17 +136,13 @@ type Registry struct {
 	quotas *Quotas
 }
 
-// Open loads every lineage under cfg.Root (each immediate subdirectory
-// holding at least one loadable snapshot becomes a lineage) and resumes
-// any persisted canary rollouts. A missing root is an empty registry, not
-// an error: Publish creates lineages on demand.
+// Open loads every lineage under cfg.Root: each immediate subdirectory
+// holding at least one loadable snapshot becomes a lineage. A missing
+// root is an empty registry, not an error.
 func Open(cfg Config) (*Registry, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Root == "" {
 		return nil, errors.New("registry: no root directory")
-	}
-	if f := cfg.CanaryFraction; !(f > 0 && f <= 1) {
-		return nil, fmt.Errorf("registry: canary fraction %g is outside (0, 1]", f)
 	}
 	if err := cfg.Quota.validate(); err != nil {
 		return nil, err
@@ -215,8 +190,8 @@ func (r *Registry) Close() error {
 	return firstErr
 }
 
-// loadLineage restores one lineage directory: control state when present
-// (resuming any canary), adopt-newest when the control state is missing
+// loadLineage restores one lineage directory: control state when present,
+// adopt-newest when the control state is missing
 // or corrupt, and fallback across corrupt snapshots when the recorded
 // active version does not load. Returns (nil, nil) when the directory
 // holds nothing loadable.
@@ -288,7 +263,6 @@ func (r *Registry) loadLineage(name string) (*lineage, error) {
 		if st.LKG == active.seq {
 			st.LKG = 0
 		}
-		st.Canary = nil
 		st.logDecision(Decision{
 			Time: r.cfg.Now(), Action: "rollback", From: from, To: active.seq, Auto: true,
 			Reason: "active version unloadable at startup",
@@ -299,26 +273,6 @@ func (r *Registry) loadLineage(name string) (*lineage, error) {
 		}
 	}
 	ln.active = active
-
-	if st.Canary != nil {
-		cand, cerr := r.loadSeq(dir, st.Canary.Candidate, nil)
-		if cerr != nil {
-			r.cfg.Logf("registry: lineage %s: candidate v%d unloadable (%v); dropping canary",
-				name, st.Canary.Candidate, cerr)
-			st.Bad = append(st.Bad, st.Canary.Candidate)
-			st.logDecision(Decision{
-				Time: r.cfg.Now(), Action: "rollback", From: st.Canary.Candidate, Auto: true,
-				Reason: "candidate unloadable at startup",
-			})
-			r.obs.rollbacks.Inc()
-			st.Canary = nil
-			if err := saveState(r.cfg.FS, dir, st); err != nil {
-				r.cfg.Logf("registry: lineage %s: %v", name, err)
-			}
-		} else {
-			ln.candidate = cand
-		}
-	}
 	return ln, nil
 }
 
@@ -333,13 +287,8 @@ func seqPath(dir string, seq int) string {
 // re-sequenced on adoption rather than referenced.
 func (r *Registry) writeNext(dir string, est *core.Estimator) (*model, error) {
 	entries, err := r.cfg.FS.ReadDir(dir)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err != nil {
 		return nil, fmt.Errorf("registry: scan %s: %w", dir, err)
-	}
-	if errors.Is(err, fs.ErrNotExist) {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("registry: create %s: %w", dir, err)
-		}
 	}
 	seq := 1
 	for _, e := range entries {
@@ -463,21 +412,15 @@ func (r *Registry) Lineages() []string {
 	return out
 }
 
-// Route is one routing decision: the engine a request should be served
-// by, and whether it was split to the canary candidate.
+// Route is one routing decision: the version a request is served by and
+// its engine.
 type Route struct {
-	Lineage string
-	Seq     int
-	Canary  bool
-	Engine  *batch.Engine
+	Seq    int
+	Engine *batch.Engine
 }
 
 // Route picks the serving version for one request of the named lineage
-// ("" routes to DefaultLineage). When a canary is in flight, a
-// deterministic counter-based split sends the configured fraction to the
-// candidate: request n is canary exactly when ⌊f·(n+1)⌋ > ⌊f·n⌋, so the
-// split is exact over any window and resumes from the persisted counter
-// after a restart.
+// ("" routes to DefaultLineage): its active model.
 func (r *Registry) Route(name string) (Route, error) {
 	ln, err := r.lineage(name)
 	if err != nil {
@@ -486,131 +429,50 @@ func (r *Registry) Route(name string) (Route, error) {
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
 	r.obs.requests.Inc()
-	rt := Route{Lineage: ln.name, Seq: ln.st.Active, Engine: ln.active.engine}
-	if c := ln.st.Canary; c != nil && ln.candidate != nil {
-		n := c.Requests
-		c.Requests++
-		if uint64(c.Fraction*float64(n+1)) > uint64(c.Fraction*float64(n)) {
-			c.CanaryRequests++
-			r.obs.canaryRequests.Inc()
-			rt.Seq = ln.candidate.seq
-			rt.Canary = true
-			rt.Engine = ln.candidate.engine
-		}
-	}
-	return rt, nil
+	return Route{Seq: ln.st.Active, Engine: ln.active.engine}, nil
 }
 
-// Publish writes est as a new version of the named lineage (creating the
-// lineage when absent). The first version of a lineage becomes active
-// immediately; later versions start a canary rollout at the configured
-// fraction, superseding any candidate already in flight. Returns the new
-// sequence number.
-func (r *Registry) Publish(name string, est *core.Estimator) (int, error) {
-	if name == "" {
-		name = DefaultLineage
-	}
-	if err := validLineageName(name); err != nil {
-		return 0, err
-	}
-	r.mu.Lock()
-	ln := r.lineages[name]
-	if ln == nil {
-		ln = &lineage{name: name, dir: filepath.Join(r.cfg.Root, name), st: &lineageState{}}
-		r.lineages[name] = ln
-		r.obs.lineages.Set(int64(len(r.lineages)))
-	}
-	r.mu.Unlock()
-
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	m, err := r.writeNext(ln.dir, est)
-	if err != nil {
-		return 0, err
-	}
-	seq := m.seq
-	now := r.cfg.Now()
-	prev := ln.st
-	st := *prev // shallow copy; decision slices re-appended below
-	if ln.active == nil {
-		st.Active = seq
-		st.logDecision(Decision{Time: now, Action: "adopt", To: seq, Reason: "first version"})
-	} else {
-		reason := "published candidate"
-		if c := st.Canary; c != nil {
-			reason = fmt.Sprintf("superseded candidate v%d", c.Candidate)
-		}
-		st.Canary = &canaryState{Candidate: seq, Fraction: r.cfg.CanaryFraction}
-		st.logDecision(Decision{Time: now, Action: "publish", To: seq, Reason: reason})
-	}
-	if err := saveState(r.cfg.FS, ln.dir, &st); err != nil {
-		return 0, err
-	}
-	ln.st = &st
-	if ln.active == nil {
-		ln.active = m
-	} else {
-		ln.candidate = m
-	}
-	r.obs.publishes.Inc()
-	r.cfg.Logf("registry: %s: published v%d", name, seq)
-	r.pruneLocked(ln)
-	return seq, nil
-}
-
-// Promote makes version seq the active model of the named lineage,
-// preserving the previous active as last-known-good. Promoting the
-// in-flight candidate ends the canary; promoting any other stored version
-// is the manual override path. The control state is persisted before the
-// in-memory swap, so a crash between the two replays the promote, never
-// loses it.
+// Promote makes stored version seq the active model of the named lineage,
+// preserving the previous active as last-known-good. The control state is
+// persisted before the in-memory swap: a promote whose state write fails
+// changes nothing and returns the error, so a restart serves what Promote
+// reported.
 func (r *Registry) Promote(name string, seq int) error {
 	ln, err := r.lineage(name)
 	if err != nil {
 		return err
+	}
+	if seq < 1 {
+		return fmt.Errorf("registry: %s: cannot promote v%d: versions start at 1", ln.name, seq)
 	}
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
 	if seq == ln.st.Active {
 		return fmt.Errorf("registry: %s: v%d is already active", ln.name, seq)
 	}
-	var m *model
-	if ln.candidate != nil && ln.candidate.seq == seq {
-		m = ln.candidate
-	} else {
-		m, err = r.loadSeq(ln.dir, seq, nil)
-		if err != nil {
-			return fmt.Errorf("registry: %s: cannot promote v%d: %w", ln.name, seq, err)
-		}
+	m, err := r.loadSeq(ln.dir, seq, nil)
+	if err != nil {
+		return fmt.Errorf("registry: %s: cannot promote v%d: %w", ln.name, seq, err)
 	}
-	r.promoteLocked(ln, m, false, "manual promote")
-	return nil
-}
-
-// promoteLocked installs m as active. Caller holds ln.mu.
-func (r *Registry) promoteLocked(ln *lineage, m *model, auto bool, reason string) {
 	st := *ln.st
 	st.LKG = st.Active
-	st.Active = m.seq
-	st.Canary = nil
+	st.Active = seq
 	st.logDecision(Decision{
-		Time: r.cfg.Now(), Action: "promote", From: st.LKG, To: m.seq, Auto: auto, Reason: reason,
+		Time: r.cfg.Now(), Action: "promote", From: st.LKG, To: seq, Reason: "manual promote",
 	})
 	if err := saveState(r.cfg.FS, ln.dir, &st); err != nil {
-		r.cfg.Logf("registry: %s: promote persist failed: %v", ln.name, err)
+		return err
 	}
 	ln.st = &st
 	ln.active = m
-	ln.candidate = nil
 	r.obs.promotions.Inc()
-	r.cfg.Logf("registry: %s: promoted v%d (lkg v%d, %s)", ln.name, m.seq, st.LKG, reason)
+	r.cfg.Logf("registry: %s: promoted v%d (lkg v%d)", ln.name, seq, st.LKG)
 	r.pruneLocked(ln)
+	return nil
 }
 
-// Rollback reverts the named lineage: an in-flight canary is aborted
-// (candidate marked bad); otherwise the active version is rolled back to
-// last-known-good and marked bad. Errors when there is nothing to roll
-// back to.
+// Rollback reverts the named lineage's active version to last-known-good
+// and marks it bad. Errors when there is nothing to roll back to.
 func (r *Registry) Rollback(name string) error {
 	ln, err := r.lineage(name)
 	if err != nil {
@@ -618,10 +480,6 @@ func (r *Registry) Rollback(name string) error {
 	}
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
-	if ln.st.Canary != nil {
-		r.rollbackCanaryLocked(ln, false, "manual rollback")
-		return nil
-	}
 	if ln.st.LKG == 0 {
 		return fmt.Errorf("registry: %s: no last-known-good version to roll back to", ln.name)
 	}
@@ -634,7 +492,6 @@ func (r *Registry) Rollback(name string) error {
 	st.Active = lkg.seq
 	st.LKG = 0
 	st.Bad = append(append([]int(nil), st.Bad...), from)
-	st.Canary = nil
 	st.logDecision(Decision{
 		Time: r.cfg.Now(), Action: "rollback", From: from, To: lkg.seq, Reason: "manual rollback",
 	})
@@ -643,35 +500,14 @@ func (r *Registry) Rollback(name string) error {
 	}
 	ln.st = &st
 	ln.active = lkg
-	ln.candidate = nil
 	r.obs.rollbacks.Inc()
 	r.cfg.Logf("registry: %s: rolled back v%d -> v%d", ln.name, from, lkg.seq)
 	r.pruneLocked(ln)
 	return nil
 }
 
-// rollbackCanaryLocked aborts the in-flight canary, marking the candidate
-// bad. Caller holds ln.mu.
-func (r *Registry) rollbackCanaryLocked(ln *lineage, auto bool, reason string) {
-	cand := ln.st.Canary.Candidate
-	st := *ln.st
-	st.Bad = append(append([]int(nil), st.Bad...), cand)
-	st.Canary = nil
-	st.logDecision(Decision{
-		Time: r.cfg.Now(), Action: "rollback", From: cand, To: st.Active, Auto: auto, Reason: reason,
-	})
-	if err := saveState(r.cfg.FS, ln.dir, &st); err != nil {
-		r.cfg.Logf("registry: %s: rollback persist failed: %v", ln.name, err)
-	}
-	ln.st = &st
-	ln.candidate = nil
-	r.obs.rollbacks.Inc()
-	r.cfg.Logf("registry: %s: rolled back candidate v%d (%s)", ln.name, cand, reason)
-	r.pruneLocked(ln)
-}
-
 // pruneLocked enforces keep-N retention on the lineage directory,
-// protecting the active, last-known-good and candidate snapshot files,
+// protecting the active and last-known-good snapshot files,
 // then keeps in the Bad set only the versions whose snapshot is still on
 // disk, so the set stays as bounded as the directory — marks left by
 // earlier prunes or by a failed persist included. Caller holds ln.mu.
@@ -684,9 +520,6 @@ func (r *Registry) pruneLocked(ln *lineage) {
 	protect := []string{seqPath(ln.dir, ln.st.Active)}
 	if ln.st.LKG != 0 {
 		protect = append(protect, seqPath(ln.dir, ln.st.LKG))
-	}
-	if ln.st.Canary != nil {
-		protect = append(protect, seqPath(ln.dir, ln.st.Canary.Candidate))
 	}
 	if _, err := snapshot.PruneFS(r.cfg.FS, ln.dir, r.cfg.Keep, protect...); err != nil {
 		r.cfg.Logf("registry: %s: prune: %v", ln.name, err)
@@ -721,15 +554,6 @@ func (r *Registry) pruneLocked(ln *lineage) {
 	ln.st = &st
 }
 
-// validLineageName rejects names that would escape the root directory or
-// collide with control files.
-func validLineageName(name string) error {
-	if name == "" || name != filepath.Base(name) || name[0] == '.' {
-		return fmt.Errorf("registry: invalid lineage name %q", name)
-	}
-	return nil
-}
-
 // AllowTenant runs one request of the given tenant through its admission
 // quota. It returns ok=true when admitted; otherwise the duration the
 // tenant should wait before retrying (the 429 Retry-After value). The
@@ -741,18 +565,4 @@ func (r *Registry) AllowTenant(tenant string) (time.Duration, bool) {
 		r.obs.tenantRejects.Inc()
 	}
 	return wait, ok
-}
-
-// median returns the median of xs (NaN when empty). xs is not modified.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }

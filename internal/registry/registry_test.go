@@ -51,22 +51,6 @@ func goodEstimator(t testing.TB) *core.Estimator {
 	return est
 }
 
-// badEstimator trains on scrambled labels: features carry no information
-// about its CRs, so its predictions regress hard against the truth.
-func badEstimator(t testing.TB) *core.Estimator {
-	t.Helper()
-	samples := trainSamples(7, 80)
-	rng := rand.New(rand.NewSource(13))
-	rng.Shuffle(len(samples), func(i, j int) {
-		samples[i].CR, samples[j].CR = samples[j].CR, samples[i].CR
-	})
-	est, err := core.Train(samples, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return est
-}
-
 // feedbackStream yields deterministic (features, actual) observations of
 // the true relation.
 func feedbackStream(seed int64) func() ([]float64, float64) {
@@ -80,13 +64,29 @@ func feedbackStream(seed int64) func() ([]float64, float64) {
 	}
 }
 
+// writeVersion writes est into the lineage directory <root>/<name> the
+// way `crest train -dir` does and returns its sequence number. The first
+// version, written before Open, is model-000000, which Open adopts as v1;
+// later ones are 2, 3, … and go live only through Promote.
+func writeVersion(t testing.TB, fsys vfs.FS, root, name string, est *core.Estimator) int {
+	t.Helper()
+	path, err := snapshot.WriteNewFS(fsys, filepath.Join(root, name), est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, ok := seqOf(filepath.Base(path))
+	if !ok {
+		t.Fatalf("wrote %s, which has no sequence number", path)
+	}
+	return seq
+}
+
 func openTest(t *testing.T, root string, mut func(*Config)) *Registry {
 	t.Helper()
 	cfg := Config{
-		Root:           root,
-		CanaryFraction: 0.25,
-		Obs:            obs.NewRegistry(),
-		Logf:           t.Logf,
+		Root: root,
+		Obs:  obs.NewRegistry(),
+		Logf: t.Logf,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -99,18 +99,18 @@ func openTest(t *testing.T, root string, mut func(*Config)) *Registry {
 	return r
 }
 
+// TestPublishAdoptAndRoute: a version written into a lineage directory
+// before Open is adopted as v1, and requests route to it.
 func TestPublishAdoptAndRoute(t *testing.T) {
-	r := openTest(t, t.TempDir(), nil)
-	seq, err := r.Publish("default", goodEstimator(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := t.TempDir()
+	writeVersion(t, vfs.OS, root, "default", goodEstimator(t))
+	r := openTest(t, root, nil)
 	rt, err := r.Route("") // empty routes to the default lineage
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Seq != seq || rt.Canary || rt.Engine == nil {
-		t.Fatalf("route = %+v, want active v%d", rt, seq)
+	if rt.Seq != 1 || rt.Engine == nil {
+		t.Fatalf("route = %+v, want adopted v1", rt)
 	}
 	if _, err := r.Route("nope"); !errors.Is(err, crerr.ErrUnknownLineage) {
 		t.Fatalf("unknown lineage error = %v, want ErrUnknownLineage", err)
@@ -119,211 +119,8 @@ func TestPublishAdoptAndRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Active != seq || len(info.Decisions) == 0 || info.Decisions[0].Action != "adopt" {
+	if info.Active != 1 || len(info.Decisions) == 0 || info.Decisions[0].Action != "adopt" {
 		t.Fatalf("info = %+v", info)
-	}
-}
-
-// TestCanarySplitDeterministic: fraction f sends exactly ⌊f·n⌋ of any n
-// requests to the candidate.
-func TestCanarySplitDeterministic(t *testing.T) {
-	r := openTest(t, t.TempDir(), nil)
-	if _, err := r.Publish("default", goodEstimator(t)); err != nil {
-		t.Fatal(err)
-	}
-	cand, err := r.Publish("default", goodEstimator(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	canaries := 0
-	for i := 0; i < 100; i++ {
-		rt, err := r.Route("default")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rt.Canary {
-			canaries++
-			if rt.Seq != cand {
-				t.Fatalf("canary routed to v%d, want candidate v%d", rt.Seq, cand)
-			}
-		}
-	}
-	if canaries != 25 {
-		t.Fatalf("canary fraction 0.25 over 100 requests gave %d, want exactly 25", canaries)
-	}
-}
-
-// TestCanaryAutoPromote: a candidate as good as the active model wins the
-// comparison and is promoted after the sustain threshold, preserving the
-// previous active as last-known-good.
-func TestCanaryAutoPromote(t *testing.T) {
-	r := openTest(t, t.TempDir(), nil)
-	active, _ := r.Publish("default", goodEstimator(t))
-	cand, err := r.Publish("default", goodEstimator(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := feedbackStream(21)
-	promoted := false
-	for i := 0; i < 200 && !promoted; i++ {
-		f, actual := next()
-		res, err := r.ObserveFeedback("default", f, actual)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch res.Decision {
-		case "promote":
-			promoted = true
-		case "rollback":
-			t.Fatalf("equal-quality candidate rolled back at obs %d", i)
-		}
-	}
-	if !promoted {
-		t.Fatal("candidate never promoted")
-	}
-	info, _ := r.Info("default")
-	if info.Active != cand || info.LKG != active || info.Canary != nil {
-		t.Fatalf("post-promote info = %+v, want active v%d lkg v%d", info, cand, active)
-	}
-	last := info.Decisions[len(info.Decisions)-1]
-	if last.Action != "promote" || !last.Auto || !strings.Contains(last.Reason, "medape") {
-		t.Fatalf("promote decision not logged: %+v", last)
-	}
-}
-
-// TestCanaryAutoRollback is the acceptance scenario: a deliberately
-// regressed candidate is auto-rolled back, the decision is durable, and
-// zero requests route to it afterward.
-func TestCanaryAutoRollback(t *testing.T) {
-	dir := t.TempDir()
-	r := openTest(t, dir, nil)
-	active, _ := r.Publish("default", goodEstimator(t))
-	bad, err := r.Publish("default", badEstimator(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := feedbackStream(22)
-	rolledBack := false
-	for i := 0; i < 300 && !rolledBack; i++ {
-		f, actual := next()
-		res, err := r.ObserveFeedback("default", f, actual)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch res.Decision {
-		case "rollback":
-			rolledBack = true
-		case "promote":
-			t.Fatalf("regressed candidate promoted at obs %d", i)
-		}
-	}
-	if !rolledBack {
-		t.Fatal("regressed candidate never rolled back")
-	}
-	// Zero requests served by the rejected candidate afterward.
-	for i := 0; i < 200; i++ {
-		rt, err := r.Route("default")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rt.Seq == bad || rt.Canary {
-			t.Fatalf("request %d routed to rolled-back v%d", i, rt.Seq)
-		}
-		if rt.Seq != active {
-			t.Fatalf("request %d routed to v%d, want active v%d", i, rt.Seq, active)
-		}
-	}
-	// The rollback is durable: a fresh registry over the same directory
-	// still refuses the bad version.
-	r2 := openTest(t, dir, nil)
-	info, err := r2.Info("default")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Active != active || info.Canary != nil {
-		t.Fatalf("reopened info = %+v, want active v%d, no canary", info, active)
-	}
-	found := false
-	for _, b := range info.Bad {
-		found = found || b == bad
-	}
-	if !found {
-		t.Fatalf("bad list %v does not record rejected v%d", info.Bad, bad)
-	}
-}
-
-// TestRestartMidCanary: a crash during a canary resumes the rollout — the
-// candidate, the traffic-split position and the comparison window all
-// come back from persisted state, and the rollout still concludes.
-func TestRestartMidCanary(t *testing.T) {
-	dir := t.TempDir()
-	r := openTest(t, dir, nil)
-	r.Publish("default", goodEstimator(t))
-	cand, _ := r.Publish("default", goodEstimator(t))
-	for i := 0; i < 40; i++ {
-		r.Route("default")
-	}
-	next := feedbackStream(23)
-	// Stay under canaryMinObs so no decision fires, but cross
-	// canaryPersistEvery so the window is durable.
-	for i := 0; i < canaryMinObs-1; i++ {
-		f, actual := next()
-		res, err := r.ObserveFeedback("default", f, actual)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Decision != "" {
-			t.Fatalf("decision %q before canaryMinObs, at obs %d", res.Decision, i)
-		}
-	}
-	before, _ := r.Info("default")
-	if before.Canary == nil {
-		t.Fatal("no canary in flight before restart")
-	}
-	// Simulated crash: no Close, just reopen from disk.
-	r2 := openTest(t, dir, nil)
-	after, err := r2.Info("default")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Canary == nil {
-		t.Fatal("canary did not survive restart")
-	}
-	if after.Canary.Candidate != cand {
-		t.Fatalf("resumed candidate v%d, want v%d", after.Canary.Candidate, cand)
-	}
-	if after.Canary.Observed < canaryPersistEvery {
-		t.Fatalf("comparison window lost: observed %d, want >= %d (persisted)",
-			after.Canary.Observed, canaryPersistEvery)
-	}
-	if after.Canary.Requests == 0 {
-		t.Fatal("traffic-split counter lost across restart")
-	}
-	// The split resumes mid-sequence rather than restarting at zero:
-	// the next 40 requests produce the canary share of positions n..n+40
-	// of the deterministic sequence, not of positions 0..40.
-	resumedAt := after.Canary.Requests
-	for i := 0; i < 40; i++ {
-		if _, err := r2.Route("default"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stat, _ := r2.Info("default")
-	if got := stat.Canary.Requests; got != resumedAt+40 {
-		t.Fatalf("split counter = %d, want %d", got, resumedAt+40)
-	}
-	// And the rollout still concludes after the restart.
-	decided := ""
-	for i := 0; i < 300 && decided == ""; i++ {
-		f, actual := next()
-		res, err := r2.ObserveFeedback("default", f, actual)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decided = res.Decision
-	}
-	if decided != "promote" {
-		t.Fatalf("resumed rollout concluded %q, want promote", decided)
 	}
 }
 
@@ -331,9 +128,9 @@ func TestRestartMidCanary(t *testing.T) {
 // the newest valid snapshot — the lineage keeps serving.
 func TestCorruptStateDegrades(t *testing.T) {
 	dir := t.TempDir()
+	writeVersion(t, vfs.OS, dir, "default", goodEstimator(t))
 	r := openTest(t, dir, nil)
-	r.Publish("default", goodEstimator(t))
-	seq, _ := r.Publish("default", goodEstimator(t))
+	seq := writeVersion(t, vfs.OS, dir, "default", goodEstimator(t))
 	r.Close()
 	if err := os.WriteFile(filepath.Join(dir, "default", stateFile), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
@@ -356,19 +153,19 @@ func TestCorruptStateDegrades(t *testing.T) {
 // and logs an automatic rollback.
 func TestActiveCorruptFallsBack(t *testing.T) {
 	dir := t.TempDir()
+	writeVersion(t, vfs.OS, dir, "default", goodEstimator(t))
 	r := openTest(t, dir, nil)
-	first, _ := r.Publish("default", goodEstimator(t))
-	cand, _ := r.Publish("default", goodEstimator(t))
-	if err := r.Promote("default", cand); err != nil {
+	second := writeVersion(t, vfs.OS, dir, "default", goodEstimator(t))
+	if err := r.Promote("default", second); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
 	// Tear the active snapshot's payload.
-	data, err := os.ReadFile(seqPath(filepath.Join(dir, "default"), cand))
+	data, err := os.ReadFile(seqPath(filepath.Join(dir, "default"), second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(seqPath(filepath.Join(dir, "default"), cand), data[:len(data)/2], 0o644); err != nil {
+	if err := os.WriteFile(seqPath(filepath.Join(dir, "default"), second), data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r2 := openTest(t, dir, nil)
@@ -376,8 +173,11 @@ func TestActiveCorruptFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Active != first {
-		t.Fatalf("fell back to v%d, want lkg v%d", info.Active, first)
+	if info.Active != 1 {
+		t.Fatalf("fell back to v%d, want lkg v1", info.Active)
+	}
+	if !contains(info.Bad, second) {
+		t.Fatalf("torn v%d not marked bad: %v", second, info.Bad)
 	}
 	last := info.Decisions[len(info.Decisions)-1]
 	if last.Action != "rollback" || !last.Auto {
@@ -385,27 +185,32 @@ func TestActiveCorruptFallsBack(t *testing.T) {
 	}
 }
 
-// TestRetentionProtectsLifecyclePointers: churning many versions with a
-// small keep budget never deletes the active or last-known-good snapshot.
+// TestRetentionProtectsLifecyclePointers: writing and promoting many
+// versions with a small keep budget never deletes the active or
+// last-known-good snapshot.
 func TestRetentionProtectsLifecyclePointers(t *testing.T) {
 	dir := t.TempDir()
-	r := openTest(t, dir, func(c *Config) { c.Keep = 2 })
 	est := goodEstimator(t)
-	first, _ := r.Publish("default", est)
-	second, _ := r.Publish("default", est)
-	if err := r.Promote("default", second); err != nil {
-		t.Fatal(err)
-	}
-	// Churn candidates; each publish runs retention.
-	for i := 0; i < 6; i++ {
-		if _, err := r.Publish("default", est); err != nil {
+	writeVersion(t, vfs.OS, dir, "default", est)
+	r := openTest(t, dir, func(c *Config) { c.Keep = 2 })
+	ldir := filepath.Join(dir, "default")
+	// Each promote runs retention.
+	for i := 0; i < 8; i++ {
+		seq := writeVersion(t, vfs.OS, dir, "default", est)
+		if err := r.Promote("default", seq); err != nil {
 			t.Fatal(err)
 		}
-	}
-	ldir := filepath.Join(dir, "default")
-	for _, seq := range []int{first, second} {
-		if _, err := os.Stat(seqPath(ldir, seq)); err != nil {
-			t.Fatalf("retention deleted lifecycle pointer v%d: %v", seq, err)
+		info, err := r.Info("default")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Active != seq || info.LKG == 0 {
+			t.Fatalf("after promoting v%d: active v%d, lkg v%d", seq, info.Active, info.LKG)
+		}
+		for _, seq := range []int{info.Active, info.LKG} {
+			if _, err := os.Stat(seqPath(ldir, seq)); err != nil {
+				t.Fatalf("retention deleted lifecycle pointer v%d: %v", seq, err)
+			}
 		}
 	}
 	entries, _ := os.ReadDir(ldir)
@@ -415,25 +220,24 @@ func TestRetentionProtectsLifecyclePointers(t *testing.T) {
 			files++
 		}
 	}
-	// active + lkg + candidate + keep-budget survivors: bounded, not 8.
-	if files > 5 {
+	// active + lkg + keep-budget survivors: bounded, not 10.
+	if files > 4 {
 		t.Fatalf("retention kept %d snapshots with keep=2", files)
 	}
 }
 
-// TestBadSetTrimmedWithPrunedVersions: every canary rollback marks its
-// candidate bad, but once keep-N retention deletes a version's snapshot
+// TestBadSetTrimmedWithPrunedVersions: every rollback marks the version
+// it demotes bad, but once keep-N retention deletes a version's snapshot
 // the mark is dropped too, so the persisted Bad set stays bounded by the
 // retention budget instead of growing by one per rollback.
 func TestBadSetTrimmedWithPrunedVersions(t *testing.T) {
 	dir := t.TempDir()
-	r := openTest(t, dir, func(c *Config) { c.Keep = 2 })
 	est := goodEstimator(t)
-	if _, err := r.Publish("default", est); err != nil {
-		t.Fatal(err)
-	}
+	writeVersion(t, vfs.OS, dir, "default", est)
+	r := openTest(t, dir, func(c *Config) { c.Keep = 2 })
 	for i := 0; i < 10; i++ {
-		if _, err := r.Publish("default", est); err != nil {
+		seq := writeVersion(t, vfs.OS, dir, "default", est)
+		if err := r.Promote("default", seq); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.Rollback("default"); err != nil {
@@ -446,8 +250,11 @@ func TestBadSetTrimmedWithPrunedVersions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if info.Active != 1 {
+			t.Fatalf("after 10 promote-rollback rounds: active v%d, want v1", info.Active)
+		}
 		if len(info.Bad) > 2 {
-			t.Fatalf("after 10 canary rollbacks with keep=2: Bad = %v", info.Bad)
+			t.Fatalf("after 10 rollbacks with keep=2: Bad = %v", info.Bad)
 		}
 		for _, seq := range info.Bad {
 			if _, err := os.Stat(seqPath(filepath.Join(dir, "default"), seq)); err != nil {
@@ -465,17 +272,14 @@ func TestBadSetTrimmedWithPrunedVersions(t *testing.T) {
 func TestBadSetDropsVersionsAlreadyGone(t *testing.T) {
 	dir := t.TempDir()
 	lineageDir := filepath.Join(dir, "default")
-	r := openTest(t, dir, func(c *Config) { c.Keep = 2 })
 	est := goodEstimator(t)
-	first, err := r.Publish("default", est)
-	if err != nil {
-		t.Fatal(err)
-	}
+	writeVersion(t, vfs.OS, dir, "default", est)
+	openTest(t, dir, func(c *Config) { c.Keep = 2 })
 	st, err := loadState(vfs.OS, lineageDir)
 	if err != nil || st == nil {
 		t.Fatalf("load state: %v, %v", st, err)
 	}
-	st.Bad = []int{first + 40, first + 41}
+	st.Bad = []int{41, 42}
 	if err := saveState(vfs.OS, lineageDir, st); err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +288,7 @@ func TestBadSetDropsVersionsAlreadyGone(t *testing.T) {
 	if info, err := r2.Info("default"); err != nil || len(info.Bad) != 2 {
 		t.Fatalf("reopened: Bad = %v, err %v; want the two persisted marks", info.Bad, err)
 	}
-	if _, err := r2.Publish("default", est); err != nil {
+	if err := r2.Promote("default", writeVersion(t, vfs.OS, dir, "default", est)); err != nil {
 		t.Fatal(err)
 	}
 	r3 := openTest(t, dir, func(c *Config) { c.Keep = 2 })
@@ -499,25 +303,117 @@ func TestBadSetDropsVersionsAlreadyGone(t *testing.T) {
 	}
 }
 
+// TestManualRollback: a rollback restores the last-known-good version and
+// marks the demoted one bad, the decision survives a restart, and no
+// request routes to the demoted version afterward.
 func TestManualRollback(t *testing.T) {
-	r := openTest(t, t.TempDir(), nil)
-	first, _ := r.Publish("default", goodEstimator(t))
-	second, _ := r.Publish("default", goodEstimator(t))
+	dir := t.TempDir()
+	writeVersion(t, vfs.OS, dir, "default", goodEstimator(t))
+	r := openTest(t, dir, nil)
+	second := writeVersion(t, vfs.OS, dir, "default", goodEstimator(t))
 	if err := r.Promote("default", second); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Rollback("default"); err != nil {
 		t.Fatal(err)
 	}
-	info, _ := r.Info("default")
-	if info.Active != first {
-		t.Fatalf("rollback restored v%d, want v%d", info.Active, first)
-	}
-	if !contains(info.Bad, second) {
-		t.Fatalf("rolled-back v%d not marked bad: %v", second, info.Bad)
+	// The rollback is durable: a fresh registry over the same directory
+	// (opened without closing the first) still refuses the demoted version.
+	r2 := openTest(t, dir, nil)
+	for _, reg := range []*Registry{r, r2} {
+		info, err := reg.Info("default")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Active != 1 || info.LKG != 0 {
+			t.Fatalf("rollback left active v%d, lkg v%d; want v1 and none", info.Active, info.LKG)
+		}
+		if !contains(info.Bad, second) {
+			t.Fatalf("rolled-back v%d not marked bad: %v", second, info.Bad)
+		}
+		if rt, err := reg.Route("default"); err != nil || rt.Seq != 1 {
+			t.Fatalf("route after rollback = %+v, %v; want v1", rt, err)
+		}
 	}
 	if err := r.Rollback("default"); err == nil {
 		t.Fatal("second rollback should fail: no last-known-good left")
+	}
+}
+
+// failStateRename passes every call through to the wrapped filesystem,
+// except that while fail is set a rename onto a lineage's state file
+// fails: the control state cannot be persisted, snapshots still load.
+type failStateRename struct {
+	vfs.FS
+	fail bool
+}
+
+func (f *failStateRename) Rename(oldpath, newpath string) error {
+	if f.fail && filepath.Base(newpath) == stateFile {
+		return fmt.Errorf("rename %s: injected failure", newpath)
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+// TestPromoteFailedPersistChangesNothing: a promote whose state write
+// fails returns the error and leaves the lineage as it was. It used to
+// log the failure and swap anyway, so Promote reported success, the
+// process served v2, and a restart served v1.
+func TestPromoteFailedPersistChangesNothing(t *testing.T) {
+	dir := t.TempDir()
+	writeVersion(t, vfs.OS, dir, "default", goodEstimator(t))
+	fsys := &failStateRename{FS: vfs.OS}
+	r := openTest(t, dir, func(c *Config) { c.FS = fsys })
+	second := writeVersion(t, vfs.OS, dir, "default", goodEstimator(t))
+	fsys.fail = true
+	if err := r.Promote("default", second); err == nil {
+		t.Fatal("promote reported success although its state write failed")
+	}
+	info, err := r.Info("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Active != 1 || info.LKG != 0 || info.Decisions[len(info.Decisions)-1].Action != "adopt" {
+		t.Fatalf("failed promote changed the lineage: %+v", info)
+	}
+	if rt, err := r.Route("default"); err != nil || rt.Seq != 1 {
+		t.Fatalf("route after failed promote = %+v, %v; want v1", rt, err)
+	}
+	// Once the state can be written again, the same promote goes through.
+	fsys.fail = false
+	if err := r.Promote("default", second); err != nil {
+		t.Fatal(err)
+	}
+	if rt, err := r.Route("default"); err != nil || rt.Seq != second {
+		t.Fatalf("route after promote = %+v, %v; want v%d", rt, err, second)
+	}
+}
+
+// TestPromoteRefusesSequenceBelowOne: versions start at 1. Sequence 0
+// used to promote the model-000000 seed that Open had already adopted as
+// v1, and −1 promoted the newest valid version, the active one, over
+// itself, so a following rollback marked the serving version bad.
+func TestPromoteRefusesSequenceBelowOne(t *testing.T) {
+	dir := t.TempDir()
+	writeVersion(t, vfs.OS, dir, "default", goodEstimator(t))
+	r := openTest(t, dir, nil)
+	for _, seq := range []int{0, -1} {
+		err := r.Promote("default", seq)
+		if err == nil {
+			t.Errorf("promote v%d: accepted", seq)
+		} else if want := fmt.Sprintf("v%d", seq); !strings.Contains(err.Error(), want) {
+			t.Errorf("promote v%d: error %q does not name %s", seq, err, want)
+		}
+	}
+	info, err := r.Info("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Active != 1 || info.LKG != 0 || len(info.Bad) != 0 {
+		t.Fatalf("refused promotes changed the lineage: %+v", info)
+	}
+	if err := r.Rollback("default"); err == nil {
+		t.Fatal("rollback after refused promotes found a last-known-good version")
 	}
 }
 
@@ -697,71 +593,25 @@ func TestOpenRefusesQuotaThatAdmitsNothing(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesCanaryFractionOutsideRange: a NaN fraction used to be
-// kept, and every later Publish failed to encode the canary state; a
-// negative one or one above 1 ran at 0.1 without a word. Open refuses all
-// three and names the value; 0 still selects 0.1.
-func TestOpenRefusesCanaryFractionOutsideRange(t *testing.T) {
-	for _, f := range []float64{math.NaN(), -0.5, 1.5} {
-		r, err := Open(Config{Root: t.TempDir(), CanaryFraction: f, Obs: obs.NewRegistry()})
-		if err == nil {
-			r.Close()
-			t.Errorf("fraction %g: Open accepted it", f)
-			continue
-		}
-		if want := fmt.Sprintf("canary fraction %g", f); !strings.Contains(err.Error(), want) {
-			t.Errorf("fraction %g: error %q does not say %q", f, err, want)
-		}
-	}
-	for _, tc := range []struct{ set, want float64 }{{0, 0.1}, {0.25, 0.25}} {
-		r := openTest(t, t.TempDir(), func(c *Config) { c.CanaryFraction = tc.set })
-		for i := 0; i < 2; i++ {
-			if _, err := r.Publish("default", goodEstimator(t)); err != nil {
-				t.Fatalf("fraction %g: publish %d: %v", tc.set, i, err)
-			}
-		}
-		info, err := r.Info("default")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Canary == nil || info.Canary.Fraction != tc.want {
-			t.Errorf("fraction %g: canary %+v, want fraction %g", tc.set, info.Canary, tc.want)
-		}
-	}
-}
-
-// TestCanaryRouteZeroAlloc pins the per-request cost of the lifecycle
-// layer: resolving a route while a canary split is in flight, and the
-// tenant quota check on both an admitted and a rejected tenant, allocate
-// nothing.
-func TestCanaryRouteZeroAlloc(t *testing.T) {
-	r := openTest(t, t.TempDir(), func(c *Config) {
+// TestRegistryRouteZeroAlloc pins the per-request cost of the lifecycle
+// layer: resolving a route, and the tenant quota check on both an
+// admitted and a rejected tenant, allocate nothing.
+func TestRegistryRouteZeroAlloc(t *testing.T) {
+	dir := t.TempDir()
+	writeVersion(t, vfs.OS, dir, "default", goodEstimator(t))
+	r := openTest(t, dir, func(c *Config) {
 		c.Quota = QuotaConfig{Tenants: map[string]TenantQuota{
 			"open":   {Rate: 1e9, Burst: 1 << 30},
 			"closed": {Rate: 0.001, Burst: 1},
 		}}
 	})
-	if _, err := r.Publish("default", goodEstimator(t)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Publish("default", goodEstimator(t)); err != nil {
-		t.Fatal(err)
-	}
-	canaries := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		rt, err := r.Route("default")
-		if err != nil {
+		if _, err := r.Route("default"); err != nil {
 			t.Fatal(err)
 		}
-		if rt.Canary {
-			canaries++
-		}
 	})
-	if canaries == 0 {
-		t.Fatal("no request routed to the canary: the split is not in flight")
-	}
 	if allocs != 0 {
-		t.Fatalf("Route with a canary in flight: %.1f allocs/op, want 0", allocs)
+		t.Fatalf("Route: %.1f allocs/op, want 0", allocs)
 	}
 
 	r.AllowTenant("closed") // spend the one-token burst
@@ -778,16 +628,15 @@ func TestCanaryRouteZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestConcurrentLifecycleHammer drives routing, feedback, publishes,
-// promotes, rollbacks and introspection concurrently under -race. The
-// assertions are the invariants: every route lands on a live engine, and
-// no request is ever served by a version already marked bad.
+// TestConcurrentLifecycleHammer drives routing, feedback, version
+// writes, promotes, rollbacks and introspection concurrently under -race.
+// The assertions are the invariants: every route lands on a live engine,
+// and every written version can be promoted.
 func TestConcurrentLifecycleHammer(t *testing.T) {
-	r := openTest(t, t.TempDir(), nil)
+	dir := t.TempDir()
 	est := goodEstimator(t)
-	if _, err := r.Publish("default", est); err != nil {
-		t.Fatal(err)
-	}
+	writeVersion(t, vfs.OS, dir, "default", est)
+	r := openTest(t, dir, nil)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -838,20 +687,23 @@ func TestConcurrentLifecycleHammer(t *testing.T) {
 				return
 			default:
 			}
-			seq, err := r.Publish("default", est)
+			// WriteNewFS directly: writeVersion's t.Fatal belongs to the
+			// test goroutine.
+			path, err := snapshot.WriteNewFS(vfs.OS, filepath.Join(dir, "default"), est)
 			if err != nil {
-				t.Errorf("publish: %v", err)
+				t.Errorf("write version: %v", err)
 				return
 			}
-			switch i % 3 {
-			case 0:
-				if err := r.Promote("default", seq); err != nil &&
-					!strings.Contains(err.Error(), "already active") {
-					t.Errorf("promote: %v", err)
+			seq, _ := seqOf(filepath.Base(path))
+			if err := r.Promote("default", seq); err != nil {
+				t.Errorf("promote v%d: %v", seq, err)
+				return
+			}
+			if i%2 == 1 {
+				if err := r.Rollback("default"); err != nil {
+					t.Errorf("rollback from v%d: %v", seq, err)
 					return
 				}
-			case 1:
-				r.Rollback("default") //nolint:errcheck // racing decisions may empty LKG
 			}
 			r.Info("default")
 			r.InfoAll()

@@ -19,63 +19,28 @@ const stateFile = "state.json"
 const stateFormat = 1
 
 // lineageState is the durable control state of one lineage: which version
-// serves, which version is the proven fallback, which candidates were
-// rejected, and — when a canary is in flight — the full comparison window,
-// so a crash mid-rollout resumes the split and the evidence instead of
-// restarting the experiment.
+// serves, which version is the proven fallback, and which versions were
+// rejected.
 type lineageState struct {
 	Format int `json:"format"`
 
 	// Active is the serving version's sequence number; LKG is the
 	// last-known-good version promotion preserves as the rollback target
-	// (0: none). Bad lists candidate sequences that were rolled back for
-	// regression — never re-adopted, eligible for pruning.
+	// (0: none). Bad lists versions that were rolled back or did not load
+	// at startup — never re-adopted, eligible for pruning.
 	Active int   `json:"active"`
 	LKG    int   `json:"lkg,omitempty"`
 	Bad    []int `json:"bad,omitempty"`
-
-	// Canary, when present, is the in-flight rollout.
-	Canary *canaryState `json:"canary,omitempty"`
 
 	// Decisions is the capped, newest-last audit log of lifecycle
 	// transitions.
 	Decisions []Decision `json:"decisions,omitempty"`
 }
 
-// canaryState is the persisted half of a canary rollout: the candidate,
-// the deterministic split position, and the sliding comparison windows.
-type canaryState struct {
-	Candidate int     `json:"candidate"`
-	Fraction  float64 `json:"fraction"`
-
-	// Requests is the split counter: request n goes to the candidate
-	// exactly when floor(fraction·(n+1)) > floor(fraction·n), so the
-	// split is deterministic and resumes exactly where it stopped.
-	Requests       uint64 `json:"requests"`
-	CanaryRequests uint64 `json:"canary_requests"`
-
-	// Observed counts feedback observations scored against both models.
-	Observed int `json:"observed"`
-
-	// ActiveAPE and CandAPE are the rolling APE windows (percent),
-	// newest-last, capped at canaryWindow.
-	ActiveAPE []float64 `json:"active_ape,omitempty"`
-	CandAPE   []float64 `json:"cand_ape,omitempty"`
-
-	// Coverage tallies over the same window of observations.
-	ActiveHits int `json:"active_hits"`
-	CandHits   int `json:"cand_hits"`
-	WindowObs  int `json:"window_obs"`
-
-	// WinStreak counts consecutive evaluations the candidate won;
-	// canarySustainEvals of them promote.
-	WinStreak int `json:"win_streak"`
-}
-
 // Decision is one audit-log entry of a lifecycle transition.
 type Decision struct {
 	Time   time.Time `json:"time"`
-	Action string    `json:"action"` // adopt|publish|promote|rollback
+	Action string    `json:"action"` // adopt|promote|rollback
 	From   int       `json:"from,omitempty"`
 	To     int       `json:"to,omitempty"`
 	Auto   bool      `json:"auto,omitempty"`
@@ -125,13 +90,6 @@ func loadState(fsys vfs.FS, dir string) (*lineageState, error) {
 	}
 	if st.Active < 0 || st.LKG < 0 {
 		return nil, fmt.Errorf("registry: state %s has negative sequence", dir)
-	}
-	if st.Canary != nil {
-		c := st.Canary
-		if c.Candidate <= 0 || c.Fraction <= 0 || c.Fraction > 1 {
-			return nil, fmt.Errorf("registry: state %s has invalid canary (candidate %d, fraction %g)",
-				dir, c.Candidate, c.Fraction)
-		}
 	}
 	return &st, nil
 }

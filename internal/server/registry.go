@@ -11,8 +11,8 @@ import (
 )
 
 // registry.go is the multi-tenant serving surface: tenant extraction and
-// per-tenant admission quotas, request routing to model lineages (with
-// the registry's canary split), and the /v1/models admin endpoints.
+// per-tenant admission quotas, request routing to model lineages, and the
+// /v1/models admin endpoints.
 
 // TenantHeader names the requesting tenant; requests without it are
 // billed to the default quota bucket.
@@ -22,12 +22,8 @@ const TenantHeader = "X-Crest-Tenant"
 // requests without it route to the registry's default lineage.
 const LineageHeader = "X-Crest-Lineage"
 
-// ModelVersionHeader reports which snapshot sequence served the request;
-// CanaryHeader is "1" when the canary split chose the candidate.
-const (
-	ModelVersionHeader = "X-Crest-Model-Version"
-	CanaryHeader       = "X-Crest-Canary"
-)
+// ModelVersionHeader reports which snapshot sequence served the request.
+const ModelVersionHeader = "X-Crest-Model-Version"
 
 // registryFallbackEngine picks the engine that stands in for Config.Engine
 // in registry mode: the default lineage's active engine, else any
@@ -78,9 +74,8 @@ func (s *Server) checkQuota(w http.ResponseWriter, r *http.Request) bool {
 
 // engineFor resolves the engine one request runs on. Outside registry
 // mode that is the fixed engine; in registry mode the request routes to
-// its lineage's active model — or, a configured fraction of the time
-// during a rollout, to the canary candidate — and the response is stamped
-// with the serving version.
+// its lineage's active model, and the response is stamped with the
+// serving version.
 func (s *Server) engineFor(w http.ResponseWriter, r *http.Request) (*batch.Engine, error) {
 	if s.cfg.Registry == nil {
 		return s.engine, nil
@@ -90,9 +85,6 @@ func (s *Server) engineFor(w http.ResponseWriter, r *http.Request) (*batch.Engin
 		return nil, err
 	}
 	w.Header().Set(ModelVersionHeader, strconv.Itoa(rt.Seq))
-	if rt.Canary {
-		w.Header().Set(CanaryHeader, "1")
-	}
 	return rt.Engine, nil
 }
 

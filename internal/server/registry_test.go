@@ -3,70 +3,41 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/crestlab/crest/internal/conformal"
-	"github.com/crestlab/crest/internal/core"
 	"github.com/crestlab/crest/internal/obs"
-	"github.com/crestlab/crest/internal/predictors"
 	"github.com/crestlab/crest/internal/registry"
+	"github.com/crestlab/crest/snapshot"
 )
 
-// regTrueCR is the ground-truth relation registry-mode tests score
-// feedback against (matches trainedEstimator's training relation).
-func regTrueCR(f []float64) float64 { return 1 + 8*math.Exp(0.4*f[0]-0.2*f[3]) }
-
-// regressedEstimator trains on shuffled labels so its predictions are
-// uninformative — the deliberately bad canary candidate.
-func regressedEstimator(t testing.TB) *core.Estimator {
-	t.Helper()
-	rng := rand.New(rand.NewSource(3))
-	samples := make([]core.Sample, 60)
-	for i := range samples {
-		f := make([]float64, 5)
-		for j := range f {
-			f[j] = rng.NormFloat64()
-		}
-		samples[i] = core.Sample{Features: f, CR: regTrueCR(f)}
-	}
-	rng.Shuffle(len(samples), func(i, j int) {
-		samples[i].CR, samples[j].CR = samples[j].CR, samples[i].CR
-	})
-	est, err := core.Train(samples, core.Config{Predictors: predictors.Config{Workers: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return est
-}
-
-// newRegistryServer wires a registry (with a trained default lineage) and
-// a registry-mode Server into an httptest listener.
+// newRegistryServer wires a registry and a registry-mode Server into an
+// httptest listener. A trained snapshot is written into the default
+// lineage before Open, as `crest train -dir <root>/default` does, so the
+// registry adopts it as v1.
 func newRegistryServer(t testing.TB, mutReg func(*registry.Config), mutSrv func(*Config)) (*registry.Registry, *testServer) {
 	t.Helper()
 	rcfg := registry.Config{
-		Root:           t.TempDir(),
-		Obs:            obs.NewRegistry(),
-		CanaryFraction: 0.25,
+		Root: t.TempDir(),
+		Obs:  obs.NewRegistry(),
 	}
 	if mutReg != nil {
 		mutReg(&rcfg)
+	}
+	if _, err := snapshot.WriteNew(filepath.Join(rcfg.Root, registry.DefaultLineage), trainedEstimator(t)); err != nil {
+		t.Fatal(err)
 	}
 	reg, err := registry.Open(rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { reg.Close() })
-	if _, err := reg.Publish("default", trainedEstimator(t)); err != nil {
-		t.Fatal(err)
-	}
 	scfg := Config{Registry: reg, Obs: rcfg.Obs}
 	if mutSrv != nil {
 		mutSrv(&scfg)
@@ -244,44 +215,6 @@ func measureP99(t testing.TB, url string, body []byte, hdr map[string]string, n 
 	return durs[(len(durs)*99)/100]
 }
 
-// TestCanaryRollbackOverHTTP drives a deliberately-regressed candidate
-// through the HTTP feedback path until auto-rollback, then proves zero
-// subsequent requests are served by it.
-func TestCanaryRollbackOverHTTP(t *testing.T) {
-	reg, ts := newRegistryServer(t, nil, nil)
-	bad, err := reg.Publish("default", regressedEstimator(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	decided := ""
-	for i := 0; i < 300 && decided == ""; i++ {
-		f := make([]float64, 5)
-		for j := range f {
-			f[j] = rng.NormFloat64()
-		}
-		resp := postHdr(t, ts.ts.URL+"/v1/feedback", feedbackBody(t, f, regTrueCR(f)), nil)
-		var fr FeedbackResponse
-		json.NewDecoder(resp.Body).Decode(&fr)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("feedback status %d", resp.StatusCode)
-		}
-		decided = fr.Decision
-	}
-	if decided != "rollback" {
-		t.Fatalf("decision %q, want rollback", decided)
-	}
-	badSeq := fmt.Sprint(bad)
-	for i := 0; i < 100; i++ {
-		resp := postHdr(t, ts.ts.URL+"/v1/estimate", estimateBody(t, 16, 16, 1), nil)
-		resp.Body.Close()
-		if resp.Header.Get(ModelVersionHeader) == badSeq || resp.Header.Get(CanaryHeader) != "" {
-			t.Fatalf("request %d served by rolled-back v%s", i, badSeq)
-		}
-	}
-}
-
 // TestRegistryFeedbackMovesConformalGauges: feedback routed to a lineage
 // whose model recalibrates online reports the tracker on the
 // conformal_coverage_bp and conformal_radius_micro gauges, exactly as
@@ -318,11 +251,12 @@ func TestRegistryFeedbackMovesConformalGauges(t *testing.T) {
 }
 
 // TestModelsAdminEndpoints exercises list, get, promote and rollback over
-// the wire.
+// the wire: a version written into the lineage directory goes live only
+// when promoted.
 func TestModelsAdminEndpoints(t *testing.T) {
-	reg, ts := newRegistryServer(t, nil, nil)
-	seq, err := reg.Publish("default", trainedEstimator(t))
-	if err != nil {
+	root := t.TempDir()
+	_, ts := newRegistryServer(t, func(c *registry.Config) { c.Root = root }, nil)
+	if _, err := snapshot.WriteNew(filepath.Join(root, registry.DefaultLineage), trainedEstimator(t)); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(ts.ts.URL + "/v1/models")
@@ -332,19 +266,24 @@ func TestModelsAdminEndpoints(t *testing.T) {
 	var list map[string][]registry.LineageInfo
 	json.NewDecoder(resp.Body).Decode(&list)
 	resp.Body.Close()
-	if len(list["lineages"]) != 1 || list["lineages"][0].Name != "default" {
-		t.Fatalf("list = %+v", list)
-	}
-	if c := list["lineages"][0].Canary; c == nil || c.Candidate != seq {
-		t.Fatalf("canary candidate missing from list: %+v", list["lineages"][0])
+	if len(list["lineages"]) != 1 || list["lineages"][0].Name != "default" || list["lineages"][0].Active != 1 {
+		t.Fatalf("list = %+v, want default at v1", list)
 	}
 
-	body, _ := json.Marshal(PromoteRequest{Seq: seq})
+	// Versions start at 1: sequence 0 is refused and changes nothing.
+	body, _ := json.Marshal(PromoteRequest{Seq: 0})
+	zresp := postHdr(t, ts.ts.URL+"/v1/models/default/promote", body, nil)
+	zresp.Body.Close()
+	if zresp.StatusCode == http.StatusOK {
+		t.Fatal("promote of v0 answered 200")
+	}
+
+	body, _ = json.Marshal(PromoteRequest{Seq: 2})
 	presp := postHdr(t, ts.ts.URL+"/v1/models/default/promote", body, nil)
 	var lr LifecycleResponse
 	json.NewDecoder(presp.Body).Decode(&lr)
 	presp.Body.Close()
-	if presp.StatusCode != http.StatusOK || lr.Lineage.Active != seq {
+	if presp.StatusCode != http.StatusOK || lr.Lineage.Active != 2 || lr.Lineage.LKG != 1 {
 		t.Fatalf("promote: status %d, %+v", presp.StatusCode, lr)
 	}
 

@@ -130,12 +130,13 @@ type Config struct {
 	Cluster *cluster.Cluster
 
 	// Registry, when set, puts the server in multi-tenant registry mode:
-	// requests route to named model lineages (LineageHeader) with canary
-	// splitting, tenants (TenantHeader) run under admission quotas (429 +
-	// Retry-After on exhaustion, distinct from overload 503), feedback
-	// feeds the canary comparison, and the /v1/models admin endpoints are
-	// mounted. Engine may then be nil; the registry's default lineage
-	// stands in for introspection. Mutually exclusive with Cluster.
+	// requests route to the active model of a named lineage
+	// (LineageHeader), tenants (TenantHeader) run under admission quotas
+	// (429 + Retry-After on exhaustion, distinct from overload 503),
+	// feedback reaches the lineage's active model, and the /v1/models
+	// admin endpoints are mounted. Engine may then be nil; the registry's
+	// default lineage stands in for introspection. Mutually exclusive with
+	// Cluster.
 	Registry *registry.Registry
 }
 

@@ -164,8 +164,7 @@ type FeedbackRequest struct {
 }
 
 // FeedbackResponse reports the tracker state after absorbing the
-// observation. Decision is present in registry mode when this very
-// observation concluded a canary rollout ("promote" or "rollback").
+// observation.
 type FeedbackResponse struct {
 	Coverage       float64 `json:"coverage"`
 	Target         float64 `json:"target"`
@@ -173,13 +172,12 @@ type FeedbackResponse struct {
 	Recalibrated   bool    `json:"recalibrated"`
 	Recalibrations int     `json:"recalibrations"`
 	Windowed       int     `json:"windowed"`
-	Decision       string  `json:"decision,omitempty"`
 }
 
 // handleFeedback feeds one ground-truth observation to the model that
-// serves its lineage. A registry scores it against the active model (and
-// an in-flight canary), recalibrating when the model tracks coverage; a
-// single model without online recalibration answers 409.
+// serves its lineage. A registry scores it against the lineage's active
+// model, recalibrating when the model tracks coverage; a single model
+// without online recalibration answers 409.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.withAdmission(w, r, func(ctx context.Context) {
 		var req FeedbackRequest
@@ -195,11 +193,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 				s.failRequest(w, err)
 				return
 			}
-			st, resp.Recalibrated, resp.Decision = res.Online, res.Recalibrated, res.Decision
-			if res.Decision != "" {
-				s.cfg.Logger.Info("canary decision",
-					"lineage", res.Lineage, "decision", res.Decision, "active", res.ActiveSeq)
-			}
+			st, resp.Recalibrated = res.Online, res.Recalibrated
 		} else {
 			est := s.engine.Estimator()
 			ost, recal, err := est.ObserveActual(req.Features, req.ActualCR)

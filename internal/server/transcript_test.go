@@ -64,7 +64,7 @@ func TestWireTranscripts(t *testing.T) {
 			}
 		}, nil)
 		if recal {
-			// The published estimator is the lineage's active model.
+			// The adopted snapshot is the lineage's active model.
 			eng, err := reg.ActiveEngine("")
 			if err != nil {
 				t.Fatal(err)
@@ -174,7 +174,7 @@ type transcript struct {
 
 // transcriptHeaders are the response headers a client can act on.
 var transcriptHeaders = []string{
-	"Content-Type", "Retry-After", ModelVersionHeader, CanaryHeader,
+	"Content-Type", "Retry-After", ModelVersionHeader,
 	cluster.ServedByHeader, "X-Request-Id",
 }
 

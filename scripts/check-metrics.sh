@@ -11,8 +11,8 @@
 #
 # The registry phase re-serves the same snapshot through a model registry
 # (`serve -registry`) and verifies the lifecycle series on top
-# (`metricscheck -registry`): registry_*/tenant_* counters, the lineage
-# gauge and the canary decision histogram.
+# (`metricscheck -registry`): registry_*/tenant_* counters and the lineage
+# gauge.
 #
 # The capacity phase serves with `-capacity-window` so the server samples
 # its own throughput-vs-inflight curve online, then verifies the
